@@ -7,7 +7,7 @@ fluctuations), ``expand`` (oscillator-mode coefficients), ``evolve``
 (closed-form trajectories) and ``verify`` (the full self-check battery).
 
 All structured output goes to stdout as JSON (or CSV where offered) with
-floats rendered at full double precision; progress and diagnostics go to
+floats that parse back to the same doubles; progress and diagnostics go to
 stderr.  Exit status is 0 on success, 1 on any runtime or verification
 failure, 2 on usage errors.
 """
@@ -45,7 +45,6 @@ from .minimal import (
     min_packet_squeezing,
     squeezing_factors,
     universal_invariants,
-    verify_minimum,
 )
 from .packet import (
     RealParams,
@@ -56,7 +55,7 @@ from .packet import (
     gaussian_state,
     normalization,
 )
-from .verify import CHECKS, run_checks
+from .verify import CHECKS, run_checks, verify_minimum
 
 SCHEMA_VERSION = "1"
 
@@ -67,40 +66,18 @@ __all__ = ["main", "SCHEMA_VERSION"]
 # output helpers
 
 
-def _render_json(value: Any, indent: int = 0) -> str:
-    """JSON with floats at %.17g so round-trips preserve every bit."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
-        for key, item in value.items():
-            name = key if isinstance(key, str) else repr(key) if isinstance(key, tuple) else str(key)
-            parts.append(f"{inner}{json.dumps(name)}: {_render_json(item, indent + 1)}")
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [f"{inner}{_render_json(item, indent + 1)}" for item in value]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"cannot serialize non-finite float {value!r}")
-        return "%.17g" % value
-    if isinstance(value, complex):
-        return _render_json({"re": value.real, "im": value.imag}, indent)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
+def _json_default(value: Any) -> Any:
+    """JSON form of the NumPy and complex values that ``json`` does not know."""
     if isinstance(value, np.ndarray):
-        return _render_json(value.tolist(), indent)
+        return value.tolist()
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
     raise InvalidParameterError(f"cannot serialize {type(value).__name__} to JSON")
 
 
@@ -117,7 +94,11 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(document: dict, out: Optional[str]) -> None:
-    _emit(_render_json(document), out)
+    try:
+        text = json.dumps(document, indent=2, allow_nan=False, default=_json_default)
+    except ValueError as exc:  # a NaN or infinity somewhere in the document
+        raise InvalidParameterError(f"cannot serialize to JSON: {exc}") from None
+    _emit(text, out)
 
 
 def _read_json(path: str) -> Any:

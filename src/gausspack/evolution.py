@@ -13,7 +13,9 @@ provide the independent check.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional
 
@@ -34,6 +36,9 @@ __all__ = [
     "shrink_analysis",
     "free_asymptotics",
 ]
+
+#: Largest dimensionless free-evolution time whose square is still finite.
+_TAU_MAX = math.sqrt(sys.float_info.max)
 
 _CONTEXT_KEYS = {"kind": "kind", "omega": "omega", "omega_larmor": "omega_L", "mass": "M"}
 
@@ -107,6 +112,17 @@ class EvolutionContext:
         return cls(**kwargs)
 
 
+def _matched_frequency(spec: MinPacketSpec, context: EvolutionContext) -> float:
+    """The context's effective frequency, which the packet must be built at."""
+    omega_eff = context.omega_effective
+    if not math.isclose(spec.omega, omega_eff, rel_tol=1e-9, abs_tol=0.0):
+        raise InvalidParameterError(
+            "packet scale does not match the context: spec.omega = "
+            f"{spec.omega} but the effective frequency is {omega_eff}"
+        )
+    return omega_eff
+
+
 def evolve_oscillator(spec: MinPacketSpec, t: float) -> MinPacketSpec:
     """Advance a minimal packet in its own isotropic oscillator.
 
@@ -132,12 +148,7 @@ def evolve_magnetic(spec: MinPacketSpec, context: EvolutionContext, t: float) ->
     """
     if context.kind != "magnetic":
         raise InvalidParameterError(f"context kind must be 'magnetic', got {context.kind!r}")
-    omega_eff = context.omega_effective
-    if not math.isclose(spec.omega, omega_eff, rel_tol=1e-9, abs_tol=0.0):
-        raise InvalidParameterError(
-            "packet scale does not match the field: spec.omega = "
-            f"{spec.omega} but the effective frequency is {omega_eff}"
-        )
+    omega_eff = _matched_frequency(spec, context)
     if not math.isclose(spec.mass, context.mass, rel_tol=1e-12, abs_tol=0.0):
         raise InvalidParameterError("packet and context masses differ")
     du = 2.0 * (spec.sign_i * omega_eff - context.omega_larmor)
@@ -153,12 +164,7 @@ def magnetic_energy(spec: MinPacketSpec, context: EvolutionContext) -> float:
     """
     if context.kind != "magnetic":
         raise InvalidParameterError(f"context kind must be 'magnetic', got {context.kind!r}")
-    omega_eff = context.omega_effective
-    if not math.isclose(spec.omega, omega_eff, rel_tol=1e-9, abs_tol=0.0):
-        raise InvalidParameterError(
-            "packet scale does not match the field: spec.omega = "
-            f"{spec.omega} but the effective frequency is {omega_eff}"
-        )
+    omega_eff = _matched_frequency(spec, context)
     oscillator_part = HBAR * omega_eff * (1.0 + spec.l_i_abs + spec.l_c_abs)
     return oscillator_part - HBAR * context.omega_larmor * (spec.l_intrinsic + spec.l_center)
 
@@ -181,13 +187,19 @@ class FreeEvolutionRecord:
     d_minus: Optional[float] = None
 
 
-def _is_symmetric_shape(params: RealParams) -> bool:
+def _symmetric_form(params: RealParams) -> Optional[tuple[float, float, float]]:
+    """``(chi0, d_plus, d_minus)`` of a symmetric-form packet, None for other shapes."""
     scale = max(params.alpha, params.gamma, 1e-300)
-    return (
+    if not (
         abs(params.alpha - params.gamma) <= 1e-10 * scale
         and abs(params.chi_a + params.chi_c) <= 1e-10 * scale
         and abs(params.rho) <= 1e-10 * scale
-    )
+    ):
+        return None
+    chi0 = 0.5 * (params.chi_c - params.chi_a)
+    d_plus = 0.25 * (params.alpha**2 + 4.0 * chi0**2 - params.beta**2)
+    d_minus = 0.25 * (params.alpha**2 - 4.0 * chi0**2 + params.beta**2)
+    return chi0, d_plus, d_minus
 
 
 def evolve_free(params: RealParams, t: float, mass: float = MASS) -> FreeEvolutionRecord:
@@ -208,7 +220,12 @@ def evolve_free(params: RealParams, t: float, mass: float = MASS) -> FreeEvoluti
     tau = 2.0 * HBAR * mu * t / mass
     a, b, c = params.quad_a, params.quad_b, params.quad_c
     d = a * c - b * b / 4.0
-    g = 1.0 + 1j * tau * (a + c) - tau**2 * d
+    # tau**2 raises OverflowError rather than returning inf past this bound.
+    g = 1.0 + 1j * tau * (a + c) - tau**2 * d if abs(tau) < _TAU_MAX else math.nan
+    if not cmath.isfinite(g):
+        raise InvalidParameterError(
+            f"free evolution over t={t!r} overflows: tau = {tau!r} is out of range"
+        )
     a_t = (a + 1j * tau * d) / g
     b_t = b / g
     c_t = (c + 1j * tau * d) / g
@@ -231,12 +248,8 @@ def evolve_free(params: RealParams, t: float, mass: float = MASS) -> FreeEvoluti
         py0,
     )
 
-    d_plus = d_minus = None
-    if _is_symmetric_shape(params):
-        chi0 = 0.5 * (params.chi_c - params.chi_a)
-        d_plus = 0.25 * (params.alpha**2 + 4.0 * chi0**2 - params.beta**2)
-        d_minus = 0.25 * (params.alpha**2 - 4.0 * chi0**2 + params.beta**2)
-
+    form = _symmetric_form(params)
+    d_plus, d_minus = (None, None) if form is None else form[1:]
     return FreeEvolutionRecord(
         tau=tau,
         params=evolved,
@@ -275,15 +288,14 @@ def shrink_analysis(params: RealParams) -> ShrinkAnalysis:
     ``rho = 0``); raises otherwise, since the closed forms below do not
     apply to general packets.
     """
-    if not _is_symmetric_shape(params):
+    form = _symmetric_form(params)
+    if form is None:
         raise InvalidParameterError(
             "shrink analysis needs the symmetric form: alpha = gamma, "
             "chi_a = -chi_c, rho = 0"
         )
+    chi0, d_plus, d_minus = form
     alpha0, beta0 = params.alpha, params.beta
-    chi0 = 0.5 * (params.chi_c - params.chi_a)
-    d_plus = 0.25 * (alpha0**2 + 4.0 * chi0**2 - beta0**2)
-    d_minus = 0.25 * (alpha0**2 - 4.0 * chi0**2 + beta0**2)
     if d_plus <= 0:
         # beta0^2 < alpha0*gamma0 = alpha0^2 makes this impossible.
         raise InvalidParameterError("inconsistent symmetric shape")
@@ -329,14 +341,14 @@ class FreeAsymptotics:
 
 def free_asymptotics(params: RealParams) -> FreeAsymptotics:
     """Late-time eccentricity, orientation and growth rate, closed form."""
-    if not _is_symmetric_shape(params):
+    form = _symmetric_form(params)
+    if form is None:
         raise InvalidParameterError(
             "free asymptotics need the symmetric form: alpha = gamma, "
             "chi_a = -chi_c, rho = 0"
         )
+    _, d_plus, _ = form
     alpha0, beta0 = params.alpha, params.beta
-    chi0 = 0.5 * (params.chi_c - params.chi_a)
-    d_plus = 0.25 * (alpha0**2 + 4.0 * chi0**2 - beta0**2)
     eps_limit = math.sqrt(2.0 * abs(beta0) / (alpha0 + abs(beta0)))
     theta_limit = 0.0 if beta0 == 0 else math.copysign(math.pi / 4.0, beta0)
     return FreeAsymptotics(

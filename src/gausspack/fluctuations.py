@@ -25,8 +25,8 @@ import numpy as np
 
 from .constants import HBAR, MASS
 from .errors import ConsistencyError, InvalidParameterError
-from .evolution import EvolutionContext, magnetic_energy
-from .minimal import MinPacketSpec, mean_energy, min_packet_state
+from .evolution import EvolutionContext, _matched_frequency, magnetic_energy
+from .minimal import _J, MinPacketSpec, mean_energy, min_packet_state
 from .packet import GaussianState
 
 __all__ = [
@@ -44,15 +44,6 @@ __all__ = [
     "subpoisson_optimum",
     "variance_report",
 ]
-
-_J = np.array(
-    [
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-    ]
-)
 
 #: Relative tolerance for the internal closed-form vs. matrix-route checks.
 _CROSSCHECK_RTOL = 1e-10
@@ -180,12 +171,7 @@ def sigma_e(spec: MinPacketSpec, context: Optional[EvolutionContext] = None) -> 
         context = EvolutionContext(kind="oscillator", omega=spec.omega, mass=spec.mass)
     if context.kind == "free":
         raise InvalidParameterError("free evolution has no closed-form energy variance here")
-    omega_eff = context.omega_effective
-    if not math.isclose(spec.omega, omega_eff, rel_tol=1e-9, abs_tol=0.0):
-        raise InvalidParameterError(
-            f"packet scale omega={spec.omega} does not match the context's "
-            f"effective frequency {omega_eff}"
-        )
+    omega_eff = _matched_frequency(spec, context)
     _, direct = energy_stats(min_packet_state(spec), context)
 
     if context.kind == "oscillator":

@@ -10,9 +10,9 @@ internal angular momentum as l, the family has deformation
 internal energy ``hbar omega (1 + l)``, and the center contributes at least
 ``hbar omega |l_c|`` once its own orbital angular momentum is prescribed,
 with equality on a specific circular orbit.  This module constructs those
-packets, evaluates their closed-form covariances, energies, squeezing
-factors and symplectic invariants, and provides brute-force numerical
-verification that the energy bounds really are minima.
+packets and evaluates their closed-form covariances, energies, squeezing
+factors and symplectic invariants; :mod:`gausspack.verify` confirms by
+brute-force search that the energy bounds really are minima.
 """
 
 from __future__ import annotations
@@ -23,16 +23,14 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .constants import DEFAULT_SEED, HBAR, MASS
+from .constants import HBAR, MASS
 from .errors import InvalidParameterError
-from .oracle.minimize import MinimizeOutcome, minimize_free
 from .packet import GaussianState, RealParams, params_from_moments
 
 __all__ = [
     "MinPacketSpec",
     "EnergySplit",
     "UniversalInvariants",
-    "MinimumReport",
     "build_min_packet",
     "min_packet_covariances",
     "min_packet_state",
@@ -42,8 +40,6 @@ __all__ = [
     "squeezing_factors",
     "min_packet_squeezing",
     "universal_invariants",
-    "verify_minimum",
-    "verify_center_minimum",
 ]
 
 _SPEC_KEYS = {
@@ -294,7 +290,7 @@ def internal_energy(
     packet whose overall scale is matched to the trap
     (``mu = mass * omega / hbar``); at that scale the mass drops out.  This
     is the objective whose minimum over all shapes with fixed internal
-    angular momentum is tested by :func:`verify_minimum`.
+    angular momentum is tested by :func:`gausspack.verify.verify_minimum`.
     """
     delta = alpha * gamma - beta**2
     if delta <= 0 or alpha <= 0 or gamma <= 0:
@@ -387,200 +383,3 @@ def universal_invariants(cov: np.ndarray) -> UniversalInvariants:
         float((mags[2] + mags[3]) / (2.0 * HBAR)),
     )
     return UniversalInvariants(d0=d0, d2=d2, kappas=kappas)
-
-
-@dataclass(frozen=True)
-class MinimumReport:
-    """Outcome of a brute-force check of an energy lower bound.
-
-    ``attained`` means some search reached the predicted minimum to within
-    the tolerance; ``bounded_below`` means no search undercut it.  The
-    check passes only if both hold.
-    """
-
-    target: float
-    omega: float
-    predicted: float
-    best_value: float
-    attained: bool
-    bounded_below: bool
-    start_values: tuple[float, ...]
-    n_evaluations: int
-    tolerance: float
-
-    @property
-    def gap(self) -> float:
-        return self.best_value - self.predicted
-
-    @property
-    def passed(self) -> bool:
-        return self.attained and self.bounded_below
-
-
-def _chart_objective(target: float, omega: float, solve_for_rho: bool):
-    """Energy objective over shapes with the internal angular momentum pinned.
-
-    The constraint is eliminated rather than penalized: with the symmetric
-    and antisymmetric combinations g = (alpha+gamma)/2, xi = (alpha-gamma)/2,
-    z = (chi_a+chi_c)/2, chi = (chi_a-chi_c)/2, the prescribed value l obeys
-    ``l * delta = rho * xi - 2 * beta * chi``, which is solved for chi on the
-    chart beta != 0 and for rho on the chart xi != 0.  The two charts jointly
-    cover every shape that can carry the constraint.
-    """
-
-    def objective(vec: np.ndarray) -> float:
-        g, xi, beta, z, extra = vec
-        if not (1e-6 < g <= 10.0) or abs(z) > 10.0 or abs(extra) > 10.0:
-            return math.inf
-        eta2 = xi**2 + beta**2
-        if eta2 >= g**2 * (1.0 - 1e-12):
-            return math.inf
-        delta = g**2 - eta2
-        if solve_for_rho:
-            if abs(xi) < 1e-6:
-                return math.inf
-            chi = extra
-            rho = (target * delta + 2.0 * beta * chi) / xi
-            if abs(rho) > 1e6:
-                return math.inf
-        else:
-            if abs(beta) < 1e-6:
-                return math.inf
-            rho = extra
-            chi = (rho * xi - target * delta) / (2.0 * beta)
-            if abs(chi) > 1e6:
-                return math.inf
-        return internal_energy(
-            alpha=g + xi,
-            beta=beta,
-            gamma=g - xi,
-            chi_a=z + chi,
-            chi_c=z - chi,
-            rho=rho,
-            omega=omega,
-        )
-
-    return objective
-
-
-def _shape_start(rng: np.random.Generator) -> np.ndarray:
-    g = rng.uniform(0.5, 2.5)
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    radius = g * rng.uniform(0.05, 0.9)
-    return np.array(
-        [
-            g,
-            radius * math.cos(angle),
-            radius * math.sin(angle),
-            rng.uniform(-1.5, 1.5),
-            rng.uniform(-2.0, 2.0),
-        ]
-    )
-
-
-def verify_minimum(
-    l_i_abs: float,
-    omega: float = 1.0,
-    n_starts: int = 24,
-    seed: int = DEFAULT_SEED,
-    tolerance: float = 1e-6,
-) -> MinimumReport:
-    """Numerically confirm the internal-energy bound ``hbar omega (1 + l)``.
-
-    Runs multi-start derivative-free minimization of the exact internal
-    energy over all packet shapes carrying internal angular momentum
-    ``l_i_abs`` (two constraint charts, ``n_starts`` searches each) and
-    compares the best value found against the predicted minimum.
-    """
-    if l_i_abs < 0:
-        raise InvalidParameterError(f"l_i_abs must be >= 0, got {l_i_abs}")
-    if omega <= 0:
-        raise InvalidParameterError(f"omega must be positive, got {omega}")
-    predicted = HBAR * omega * (1.0 + l_i_abs)
-
-    outcomes: list[MinimizeOutcome] = []
-    for chart, solve_for_rho in enumerate((False, True)):
-        outcomes.append(
-            minimize_free(
-                _chart_objective(l_i_abs, omega, solve_for_rho),
-                _shape_start,
-                n_starts=n_starts,
-                seed=seed + chart,
-            )
-        )
-    best = min(o.best_value for o in outcomes)
-    start_values = tuple(v for o in outcomes for v in o.start_values)
-    return MinimumReport(
-        target=l_i_abs,
-        omega=omega,
-        predicted=predicted,
-        best_value=best,
-        attained=best <= predicted + tolerance,
-        bounded_below=best >= predicted - tolerance,
-        start_values=start_values,
-        n_evaluations=sum(o.n_evaluations for o in outcomes),
-        tolerance=tolerance,
-    )
-
-
-def verify_center_minimum(
-    l_c_abs: float,
-    omega: float = 1.0,
-    mass: float = MASS,
-    n_starts: int = 16,
-    seed: int = DEFAULT_SEED,
-    tolerance: float = 1e-6,
-) -> MinimumReport:
-    """Numerically confirm the center-energy bound ``hbar omega l_c``.
-
-    The classical center energy is minimized over positions and momenta
-    whose orbital angular momentum is pinned to ``hbar * l_c_abs``, again on
-    two charts (solving for py where x != 0 and for px where y != 0).
-    """
-    if l_c_abs < 0:
-        raise InvalidParameterError(f"l_c_abs must be >= 0, got {l_c_abs}")
-    if omega <= 0 or mass <= 0:
-        raise InvalidParameterError("omega and mass must be positive")
-    predicted = HBAR * omega * l_c_abs
-    scale = math.sqrt(HBAR * max(l_c_abs, 1.0) / (mass * omega))
-    p_scale = math.sqrt(HBAR * max(l_c_abs, 1.0) * mass * omega)
-
-    def objective_x(vec: np.ndarray) -> float:
-        x, y, px = vec
-        if abs(x) < 1e-6 or abs(x) > 50 * scale or abs(y) > 50 * scale or abs(px) > 50 * p_scale:
-            return math.inf
-        py = (HBAR * l_c_abs + y * px) / x
-        return (px**2 + py**2) / (2.0 * mass) + 0.5 * mass * omega**2 * (x**2 + y**2)
-
-    def objective_y(vec: np.ndarray) -> float:
-        x, y, py = vec
-        if abs(y) < 1e-6 or abs(x) > 50 * scale or abs(y) > 50 * scale or abs(py) > 50 * p_scale:
-            return math.inf
-        px = (x * py - HBAR * l_c_abs) / y
-        return (px**2 + py**2) / (2.0 * mass) + 0.5 * mass * omega**2 * (x**2 + y**2)
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return np.array(
-            [
-                rng.uniform(-3.0, 3.0) * scale,
-                rng.uniform(-3.0, 3.0) * scale,
-                rng.uniform(-3.0, 3.0) * p_scale,
-            ]
-        )
-
-    outcomes = [
-        minimize_free(objective_x, sample, n_starts=n_starts, seed=seed),
-        minimize_free(objective_y, sample, n_starts=n_starts, seed=seed + 1),
-    ]
-    best = min(o.best_value for o in outcomes)
-    return MinimumReport(
-        target=l_c_abs,
-        omega=omega,
-        predicted=predicted,
-        best_value=best,
-        attained=best <= predicted + tolerance,
-        bounded_below=best >= predicted - tolerance,
-        start_values=tuple(v for o in outcomes for v in o.start_values),
-        n_evaluations=sum(o.n_evaluations for o in outcomes),
-        tolerance=tolerance,
-    )

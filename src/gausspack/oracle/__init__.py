@@ -11,7 +11,7 @@ against the closed forms.
 from .quadrature import QuadratureSpec, gauss_legendre_2d, integrate_adaptive
 from .observables import Observable, momentum_monomial, position_monomial
 from .moments import expectation, norm_integral, wigner_fourth_moment
-from .minimize import MinimizeOutcome, minimize_free, worker_count
+from .minimize import MinimizeOutcome, minimize_free
 from .overlap import overlap_integral
 from .propagate import propagate_free, propagate_magnetic, propagate_oscillator, fit_gaussian_exponent
 
@@ -27,7 +27,6 @@ __all__ = [
     "wigner_fourth_moment",
     "MinimizeOutcome",
     "minimize_free",
-    "worker_count",
     "overlap_integral",
     "propagate_free",
     "propagate_oscillator",

@@ -8,39 +8,15 @@ gradient information derived from the same algebra.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from ..constants import DEFAULT_SEED
 from ..errors import InvalidParameterError
 
-__all__ = ["MinimizeOutcome", "minimize_free", "worker_count"]
-
-#: Environment variable capping the worker threads of parallel searches.
-THREADS_ENV = "GAUSSPACK_THREADS"
-
-
-def worker_count(n_tasks: int) -> int:
-    """Number of threads to use for ``n_tasks`` independent searches.
-
-    Honors the ``GAUSSPACK_THREADS`` environment variable as a cap, where
-    unset or ``0`` means "pick automatically".
-    """
-    raw = os.environ.get(THREADS_ENV, "0").strip() or "0"
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise InvalidParameterError(f"{THREADS_ENV} must be >= 0, got {cap}")
-    if cap == 0:
-        cap = min(8, os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
+__all__ = ["MinimizeOutcome", "minimize_free"]
 
 
 @dataclass(frozen=True)
@@ -75,10 +51,12 @@ def minimize_free(
 
     The objective may return ``inf`` outside its feasible region; starts are
     redrawn (up to a generous retry budget) until they are feasible.  The
-    search runs the starts on a thread pool sized by :func:`worker_count`
-    and reduces deterministically, so results do not depend on thread
-    scheduling.
+    starts run one after another in start order, and the best value wins
+    with ties going to the earliest start.  SciPy is imported here, on the
+    first search, so importing :mod:`gausspack` does not load it.
     """
+    from scipy.optimize import minimize as scipy_minimize
+
     if n_starts < 1:
         raise InvalidParameterError(f"n_starts must be >= 1, got {n_starts}")
     rng = np.random.default_rng(seed)
@@ -95,8 +73,9 @@ def minimize_free(
                 "the sampler and the objective's feasible region disagree"
             )
 
-    def run(start: np.ndarray):
-        res = _scipy_minimize(
+    results = []
+    for start in starts:
+        res = scipy_minimize(
             objective,
             start,
             method="Nelder-Mead",
@@ -107,10 +86,7 @@ def minimize_free(
                 "adaptive": True,
             },
         )
-        return float(res.fun), np.asarray(res.x), int(res.nfev)
-
-    with ThreadPoolExecutor(max_workers=worker_count(n_starts)) as pool:
-        results = list(pool.map(run, starts))
+        results.append((float(res.fun), np.asarray(res.x), int(res.nfev)))
 
     values = tuple(r[0] for r in results)
     total_evals = sum(r[2] for r in results)

@@ -3,9 +3,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 import gausspack as gp
+from gausspack import cli
 from gausspack.cli import main
 
 
@@ -303,6 +305,16 @@ class TestEvolve:
         code, _, err = run_cli(capsys, "evolve", "--kind", "free", "--t", "1.0")
         assert code == 1 and "error:" in err
 
+    def test_free_overflowing_time_fails_cleanly(self, capsys, tmp_path):
+        params = gp.build_min_packet(gp.MinPacketSpec(l_i_abs=0.5, l_c_abs=1.0, u=0.5 * math.pi))
+        path = tmp_path / "packet.json"
+        path.write_text(json.dumps(params.to_dict()))
+        code, out, err = run_cli(capsys, "evolve", "--kind", "free", "--params", str(path),
+                                 "--t", "1e200")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestVerify:
     def test_single_check_passes(self, capsys):
@@ -359,3 +371,60 @@ class TestPlumbing:
         doc = run_json(capsys, "describe", "--params", params_file)
         params = gp.RealParams.from_dict(doc["packet"])
         assert params.alpha == 1.3 and params.mu == 1.1
+
+
+class TestJsonWriter:
+    def test_numpy_and_complex_values(self, capsys):
+        cli._emit_json({
+            "complex": complex(1.5, -2.0),
+            "numpy_complex": np.complex128(0.25j),
+            "matrix": np.array([[1.0, 2.5], [3.0, 4.0]]),
+            "flag": np.bool_(True),
+            "count": np.int64(7),
+            "single": np.float32(0.5),
+            "pair": (np.float64(0.1), 3),
+        }, None)
+        out = capsys.readouterr().out
+        assert out.endswith("}\n")
+        assert json.loads(out) == {
+            "complex": {"re": 1.5, "im": -2.0},
+            "numpy_complex": {"re": 0.0, "im": 0.25},
+            "matrix": [[1.0, 2.5], [3.0, 4.0]],
+            "flag": True,
+            "count": 7,
+            "single": 0.5,
+            "pair": [0.1, 3],
+        }
+        assert '"flag": true' in out and '"count": 7' in out
+
+    def test_floats_round_trip_bit_for_bit(self, capsys):
+        values = [0.1, 1.0 / 3.0, -2.5e-308, 1.7976931348623157e308, np.float64(math.pi)]
+        cli._emit_json({"values": values}, None)
+        parsed = json.loads(capsys.readouterr().out)["values"]
+        assert [v.hex() for v in parsed] == [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("bad", [
+        math.nan,
+        math.inf,
+        np.float64(-np.inf),
+        np.float32(np.nan),
+        [1.0, math.inf],
+        complex(1.0, math.nan),
+        np.array([0.0, np.inf]),
+    ])
+    def test_non_finite_values_are_refused(self, capsys, bad):
+        with pytest.raises(gp.InvalidParameterError):
+            cli._emit_json({"nested": {"value": bad}}, None)
+        assert capsys.readouterr().out == ""
+
+    def test_unknown_types_are_refused(self):
+        with pytest.raises(gp.InvalidParameterError):
+            cli._emit_json({"value": object()}, None)
+
+    def test_non_finite_output_exits_one(self, capsys, monkeypatch):
+        broken = gp.SubPoissonOptimum(l_total=1.0, sigma_l=math.nan, eccentricity=0.5)
+        monkeypatch.setattr(cli, "subpoisson_optimum", lambda l_i: broken)
+        code, out, err = run_cli(capsys, "fluct", "--Li", "0.125", "--optimum")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")

@@ -199,6 +199,13 @@ class TestFree:
         )
         assert skewed.d_plus is None and skewed.d_minus is None
 
+    @pytest.mark.parametrize("t", [1e160, 1e200])
+    def test_overflowing_time_rejected(self, t):
+        # tau^2 overflows a double; the evolution must refuse, not raise OverflowError.
+        params = gp.build_min_packet(MinPacketSpec(l_i_abs=0.5, l_c_abs=1.0, u=0.5 * math.pi))
+        with pytest.raises(InvalidParameterError):
+            evolve_free(params, t)
+
 
 class TestShrink:
     def test_requires_symmetric_form(self):

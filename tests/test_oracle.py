@@ -11,7 +11,7 @@ from gausspack import (
     RealParams,
     ToleranceError,
 )
-from gausspack.oracle.minimize import THREADS_ENV, minimize_free, worker_count
+from gausspack.oracle.minimize import minimize_free
 from gausspack.oracle.moments import (
     expectation,
     integration_box,
@@ -183,32 +183,6 @@ class TestMinimizeFree:
             )
         with pytest.raises(InvalidParameterError):
             minimize_free(lambda p: 0.0, lambda r: np.zeros(1), n_starts=0)
-
-
-class TestWorkerCount:
-    def test_defaults_and_caps(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        auto = min(8, __import__("os").cpu_count() or 1)
-        assert worker_count(100) == auto
-        assert worker_count(2) == min(auto, 2)
-        assert worker_count(1) == 1
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        assert worker_count(100) == 3
-        assert worker_count(2) == 2
-        monkeypatch.setenv(THREADS_ENV, "0")
-        assert worker_count(100) == min(8, __import__("os").cpu_count() or 1)
-        monkeypatch.setenv(THREADS_ENV, "")
-        assert worker_count(100) == min(8, __import__("os").cpu_count() or 1)
-
-    def test_bad_env_values(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "-2")
-        with pytest.raises(InvalidParameterError):
-            worker_count(4)
-        monkeypatch.setenv(THREADS_ENV, "many")
-        with pytest.raises(InvalidParameterError):
-            worker_count(4)
 
 
 class TestOverlap:
