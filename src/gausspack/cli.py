@@ -572,7 +572,7 @@ _SUITES: dict[str, Optional[tuple[str, ...]]] = {
     "moments": ("moments", "invariants"),
     "min": ("minimum", "subpoisson", "squeezing"),
     "fock": ("fock", "identities"),
-    "evolve": ("drift", "magnetic", "free"),
+    "evolve": ("drift", "magnetic", "free", "propagators"),
 }
 
 

@@ -5,6 +5,10 @@ Gauss rules converge extremely fast; adaptivity only has to handle the case
 where the box is much wider than the packet.  Panels are bisected in both
 directions until the difference between a rule and its refinement falls
 under an area-proportional share of the total budget.
+
+An integrand may be vector-valued: a stack of components of shape
+``(..., n, n)`` on the ``n x n`` node grid.  All components then share one
+partition, and a panel is split until every component meets its share.
 """
 
 from __future__ import annotations
@@ -57,8 +61,15 @@ def gauss_legendre_2d(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     box: tuple[float, float, float, float],
     order: int,
-) -> complex:
-    """Single tensor-product Gauss-Legendre pass over ``box`` = (x0, x1, y0, y1)."""
+) -> complex | np.ndarray:
+    """Single tensor-product Gauss-Legendre pass over ``box`` = (x0, x1, y0, y1).
+
+    ``f`` receives the node grids ``X, Y`` of shape ``(order, order)``, with
+    ``X`` varying along axis 0 and ``Y`` along axis 1, and returns values of
+    shape ``(..., order, order)``.  The last two axes are contracted: a
+    scalar integrand gives a complex number, a stacked one an array of
+    shape ``...``.
+    """
     x0, x1, y0, y1 = box
     t, w = _nodes(order)
     xs = 0.5 * (x1 - x0) * t + 0.5 * (x1 + x0)
@@ -66,21 +77,26 @@ def gauss_legendre_2d(
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     values = np.asarray(f(X, Y))
     jac = 0.25 * (x1 - x0) * (y1 - y0)
-    return complex(jac * np.einsum("i,j,ij->", w, w, values))
+    result = jac * (values @ w @ w)
+    return complex(result) if result.ndim == 0 else result.astype(complex)
 
 
 def integrate_adaptive(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     box: tuple[float, float, float, float],
     spec: QuadratureSpec | None = None,
-) -> complex:
+) -> complex | np.ndarray:
     """Integrate ``f`` over the rectangle ``box`` to the requested tolerance.
+
+    A stacked integrand (see :func:`gauss_legendre_2d`) returns one value
+    per component, and each component must meet the error budget.
 
     Raises
     ------
     ToleranceError
-        If panels at the maximum bisection depth still leave an estimated
-        error above the budget.
+        If a rule value is not finite, or if panels at the maximum
+        bisection depth still leave some component's estimated error above
+        the budget.
     """
     spec = spec or QuadratureSpec()
     x0, x1, y0, y1 = box
@@ -93,11 +109,15 @@ def integrate_adaptive(
     stack: list[tuple[float, float, float, float, int]] = [(x0, x1, y0, y1, 0)]
     while stack:
         px0, px1, py0, py1, depth = stack.pop()
-        coarse = gauss_legendre_2d(f, (px0, px1, py0, py1), spec.order)
-        fine = gauss_legendre_2d(f, (px0, px1, py0, py1), spec.refined_order)
-        err = abs(fine - coarse)
+        panel = (px0, px1, py0, py1)
+        coarse = gauss_legendre_2d(f, panel, spec.order)
+        fine = gauss_legendre_2d(f, panel, spec.refined_order)
+        err = np.abs(fine - coarse)
+        # A NaN or inf in either rule leaves the difference non-finite.
+        if not np.all(np.isfinite(err)):
+            raise ToleranceError(f"integrand is not finite on panel {panel}")
         share = spec.abs_tol * ((px1 - px0) * (py1 - py0)) / total_area
-        if err <= share or depth >= spec.max_splits:
+        if depth >= spec.max_splits or np.all(err <= share):
             total += fine
             err_total += err
         else:
@@ -111,9 +131,10 @@ def integrate_adaptive(
                     (xm, px1, ym, py1, depth + 1),
                 ]
             )
-    if err_total > 10.0 * spec.abs_tol:
+    worst = float(np.max(err_total, initial=0.0))
+    if worst > 10.0 * spec.abs_tol:
         raise ToleranceError(
-            f"quadrature error estimate {err_total:.3e} exceeds budget "
+            f"quadrature error estimate {worst:.3e} exceeds budget "
             f"{spec.abs_tol:.3e} after {spec.max_splits} splits"
         )
     return total

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
@@ -46,7 +46,12 @@ from .oracle.minimize import MinimizeOutcome, minimize_free
 from .oracle.moments import expectation, norm_integral, wigner_fourth_moment
 from .oracle.observables import momentum_monomial, position_monomial
 from .oracle.overlap import overlap_integral
-from .oracle.propagate import fit_gaussian_exponent, propagate_free
+from .oracle.propagate import (
+    fit_gaussian_exponent,
+    propagate_free,
+    propagate_magnetic,
+    propagate_oscillator,
+)
 from .packet import RealParams, angular_split, covariances, ellipse, first_moments, gaussian_state
 from .special import hermite_scaled, hermite_zero, laguerre_assoc_all
 
@@ -607,6 +612,22 @@ def check_magnetic_degeneracy(seed: int = DEFAULT_SEED, tol: float = 1e-12) -> C
     )
 
 
+def _fit_error(
+    sample: Callable[[list[tuple[float, float]]], np.ndarray],
+    center_guess: tuple[float, float],
+    sigma_guess: float,
+    reference: RealParams,
+) -> float:
+    """Worst parameter error of a Gaussian fit to propagated samples."""
+    fit = fit_gaussian_exponent(
+        sample, center_guess=center_guess, sigma_guess=sigma_guess, mu=reference.mu
+    )
+    return max(
+        abs(getattr(fit.params, name) - getattr(reference, name))
+        for name in ("alpha", "beta", "gamma", "chi_a", "chi_c", "rho", "f1", "f2", "g1", "g2")
+    )
+
+
 def check_free_shrinking(
     seed: int = DEFAULT_SEED, tol: float = 1e-10, fit_tol: float = 1e-6
 ) -> CheckResult:
@@ -640,21 +661,12 @@ def check_free_shrinking(
 
             t_fit = t_min
             sigma0 = 1.0 / math.sqrt(2.0 * params.mu * (params.alpha - abs(beta0)))
-            fit = fit_gaussian_exponent(
+            worst_fit = max(worst_fit, _fit_error(
                 lambda pts: propagate_free(params, t_fit, pts),
-                center_guess=(0.0, 0.0),
-                sigma_guess=sigma0,
-                mu=params.mu,
-            )
-            reference = evolve_free(params, t_fit).params
-            diffs = [
-                abs(getattr(fit.params, name) - getattr(reference, name))
-                for name in (
-                    "alpha", "beta", "gamma", "chi_a", "chi_c", "rho",
-                    "f1", "f2", "g1", "g2",
-                )
-            ]
-            worst_fit = max(worst_fit, max(diffs))
+                (0.0, 0.0),
+                sigma0,
+                evolve_free(params, t_fit).params,
+            ))
     return CheckResult(
         name="free",
         passed=worst_closed < tol and worst_fit < fit_tol,
@@ -664,6 +676,48 @@ def check_free_shrinking(
             f"propagator-fit error {worst_fit:.2e}"
         ),
         details={"worst_closed": worst_closed, "worst_fit": worst_fit},
+    )
+
+
+def check_propagator_fits(seed: int = DEFAULT_SEED, fit_tol: float = 1e-6) -> CheckResult:
+    """Oscillator and magnetic evolution of minimal packets, by propagator fit.
+
+    A co- and an anti-rotating packet each go through the oscillator kernel
+    and the field kernel (with a random field direction); the packet fitted
+    to the propagated samples must match the evolution law's packet.  The
+    fit starts from the law's centre and the initial packet's semi-major
+    axis, which neither evolution changes.
+    """
+    start = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    worst = {"oscillator": 0.0, "magnetic": 0.0}
+    for corotating in (True, False):
+        for law in ("oscillator", "magnetic"):
+            spec = replace(_random_min_spec(rng, corotating), omega=rng.uniform(0.7, 1.4))
+            params = build_min_packet(spec)
+            # sin(omega t) >= sin(0.3) keeps the kernel away from its foci.
+            t = rng.uniform(0.3, 1.2) / spec.omega
+            if law == "oscillator":
+                evolved = evolve_oscillator(spec, t)
+                sample = lambda pts: propagate_oscillator(params, t, pts, omega=spec.omega)
+            else:
+                omega_l = float(rng.choice([-1.0, 1.0])) * spec.omega
+                context = EvolutionContext(kind="magnetic", omega_larmor=omega_l)
+                evolved = evolve_magnetic(spec, context, t)
+                sample = lambda pts: propagate_magnetic(params, t, pts, omega_larmor=omega_l)
+            reference = build_min_packet(evolved)
+            x0, y0, _, _ = first_moments(reference)
+            worst[law] = max(worst[law], _fit_error(sample, (x0, y0), ellipse(params).a_plus, reference))
+    worst_fit = max(worst.values())
+    return CheckResult(
+        name="propagators",
+        passed=worst_fit < fit_tol,
+        duration=time.perf_counter() - start,
+        summary=(
+            f"co- and anti-rotating packets, propagator-fit error {worst['oscillator']:.2e} "
+            f"(oscillator), {worst['magnetic']:.2e} (field)"
+        ),
+        details={**worst, "fit_tol": fit_tol},
     )
 
 
@@ -782,6 +836,7 @@ CHECKS: Dict[str, Callable[..., CheckResult]] = {
     "fock": check_fock_expansions,
     "magnetic": check_magnetic_degeneracy,
     "free": check_free_shrinking,
+    "propagators": check_propagator_fits,
     "squeezing": check_squeezing_grid,
     "identities": check_identities,
 }

@@ -24,6 +24,7 @@ from gausspack.oracle.observables import (
     oscillator_hamiltonian_op,
     position_monomial,
 )
+from gausspack.oracle import propagate as propagate_module
 from gausspack.oracle.overlap import overlap_integral
 from gausspack.oracle.propagate import (
     fit_gaussian_exponent,
@@ -36,6 +37,33 @@ from gausspack.oracle.quadrature import QuadratureSpec, gauss_legendre_2d, integ
 
 GENERIC = RealParams(mu=1.1, alpha=1.3, beta=0.4, gamma=0.9, chi_a=-0.5,
                      chi_c=0.7, rho=0.3, f1=0.6, f2=-0.3, g1=0.2, g2=0.8)
+
+
+#: A minimal packet whose internal and centre motions rotate in opposite senses.
+ANTI = MinPacketSpec(l_i_abs=0.6, l_c_abs=0.9, sign_i=1, sign_c=-1, u=0.5, v=2.0, omega=0.9)
+
+
+# The propagator kernels K(r, r'; t) written out whole (unit mass), as a
+# reference for the per-target factors the oracle integrates with.
+def full_free_kernel(t, x, y, xs, ys):
+    pref = 1.0 / (2.0 * math.pi * 1j * HBAR * t)
+    return pref * np.exp(1j / (2.0 * HBAR * t) * ((x - xs) ** 2 + (y - ys) ** 2))
+
+
+def full_oscillator_kernel(t, omega, x, y, xs, ys):
+    s, c = math.sin(omega * t), math.cos(omega * t)
+    pref = omega / (2.0 * math.pi * 1j * HBAR * s)
+    coef = 1j * omega / (2.0 * HBAR * s)
+    return pref * np.exp(coef * (c * (x * x + y * y + xs**2 + ys**2) - 2.0 * (x * xs + y * ys)))
+
+
+def full_magnetic_kernel(t, omega_l, x, y, xs, ys):
+    s = math.sin(omega_l * t)
+    cot = math.cos(omega_l * t) / s
+    pref = omega_l / (2.0 * math.pi * 1j * HBAR * s)
+    coef = 1j * omega_l / (2.0 * HBAR)
+    sq = (x - xs) ** 2 + (y - ys) ** 2
+    return pref * np.exp(coef * (cot * sq - 2.0 * (x * ys - y * xs)))
 
 
 class TestQuadrature:
@@ -54,6 +82,55 @@ class TestQuadrature:
         spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-15, max_splits=0)
         with pytest.raises(ToleranceError):
             integrate_adaptive(lambda x, y: np.cos(40.0 * x * y), (-3.0, 3.0, -3.0, 3.0), spec)
+
+    @pytest.mark.parametrize("params, kernel", [
+        (GENERIC, lambda x, y, xs, ys: full_free_kernel(0.9, x, y, xs, ys)),
+        (gp.build_min_packet(ANTI), lambda x, y, xs, ys: full_oscillator_kernel(1.1, 0.9, x, y, xs, ys)),
+        (GENERIC, lambda x, y, xs, ys: full_magnetic_kernel(0.8, -0.9, x, y, xs, ys)),
+    ], ids=["free", "oscillator", "magnetic"])
+    def test_stacked_integrand_matches_scalar_calls(self, rng, params, kernel):
+        box = integration_box(params)
+        pts = rng.uniform(-1.5, 1.5, size=(6, 2))
+
+        def one(x, y, xs, ys):
+            return kernel(x, y, xs, ys) * gp.wavefunction(params, xs, ys)
+
+        stacked = integrate_adaptive(lambda xs, ys: np.stack([one(x, y, xs, ys) for x, y in pts]), box)
+        assert stacked.shape == (6,)
+        for k, (x, y) in enumerate(pts):
+            scalar = integrate_adaptive(lambda xs, ys: one(x, y, xs, ys), box)
+            assert abs(stacked[k] - scalar) <= 1e-14
+
+    def test_one_component_over_budget_raises(self):
+        spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-12, max_splits=0)
+        box = (-3.0, 3.0, -3.0, 3.0)
+        # Both rules integrate these polynomials exactly.
+        exact = integrate_adaptive(lambda x, y: np.stack([1.0 + x * y, 2.0 + x]), box, spec)
+        assert exact == pytest.approx([36.0, 72.0], abs=1e-12)
+        with pytest.raises(ToleranceError):
+            integrate_adaptive(
+                lambda x, y: np.stack([1.0 + x * y, np.cos(40.0 * x * y)]), box, spec
+            )
+
+    def test_empty_stack_gives_empty_array(self):
+        val = integrate_adaptive(lambda x, y: np.empty((0,) + x.shape), (0.0, 1.0, 0.0, 1.0))
+        assert isinstance(val, np.ndarray) and val.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        spec = QuadratureSpec(max_splits=3)
+        with pytest.raises(ToleranceError, match="not finite"):
+            integrate_adaptive(lambda x, y: np.full(x.shape, bad), (-1.0, 1.0, -1.0, 1.0), spec)
+
+    def test_non_finite_node_raises(self):
+        def f(x, y):
+            return np.where(x > 0.5, math.nan, np.exp(-(x**2) - y**2))
+
+        with pytest.raises(ToleranceError, match="not finite"):
+            integrate_adaptive(f, (-3.0, 3.0, -3.0, 3.0))
+        with pytest.raises(ToleranceError, match="not finite"):
+            integrate_adaptive(lambda x, y: np.stack([np.exp(-(x**2) - y**2), f(x, y)]),
+                               (-3.0, 3.0, -3.0, 3.0))
 
     def test_bad_box_rejected(self):
         with pytest.raises(ValueError):
@@ -249,6 +326,82 @@ class TestPropagators:
             propagate_oscillator(GENERIC, math.pi, PROBES, omega=1.0)
         with pytest.raises(InvalidParameterError):
             propagate_magnetic(GENERIC, 2.0 * math.pi, PROBES, omega_larmor=1.0)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+    def test_non_finite_targets_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            propagate_free(GENERIC, 0.9, [bad])
+        with pytest.raises(InvalidParameterError):
+            propagate_oscillator(GENERIC, 0.7, [bad], omega=1.3)
+        with pytest.raises(InvalidParameterError):
+            propagate_magnetic(GENERIC, 0.8, [bad], omega_larmor=-0.9)
+
+    def test_targets_must_be_pairs(self):
+        with pytest.raises(InvalidParameterError):
+            propagate_free(GENERIC, 0.9, [(0.0, 1.0, 2.0)])
+
+    @pytest.mark.parametrize("call", [
+        lambda pts: propagate_free(GENERIC, 0.9, pts),
+        lambda pts: propagate_oscillator(GENERIC, 0.7, pts, omega=1.3),
+        lambda pts: propagate_magnetic(GENERIC, 0.8, pts, omega_larmor=-0.9),
+    ])
+    def test_empty_target_list(self, call):
+        out = call([])
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("n_targets", [1, 5, 25])
+    def test_one_integral_per_call(self, monkeypatch, n_targets):
+        calls = []
+
+        def counting(f, box, spec=None):
+            calls.append(box)
+            return integrate_adaptive(f, box, spec)
+
+        monkeypatch.setattr(propagate_module, "integrate_adaptive", counting)
+        pts = [(0.1 * k, -0.05 * k) for k in range(n_targets)]
+        propagate_free(GENERIC, 0.9, pts)
+        propagate_oscillator(GENERIC, 0.7, pts, omega=1.3)
+        propagate_magnetic(GENERIC, 0.8, pts, omega_larmor=0.9)
+        assert len(calls) == 3
+
+
+class TestRankOneKernels:
+    """The per-target factors A_i(x') B_i(y') equal the full kernels."""
+
+    CASES = [
+        ("free", GENERIC, lambda p, pts: propagate_free(p, 0.9, pts),
+         lambda x, y, xs, ys: full_free_kernel(0.9, x, y, xs, ys)),
+        ("oscillator", GENERIC, lambda p, pts: propagate_oscillator(p, 0.7, pts, omega=1.3),
+         lambda x, y, xs, ys: full_oscillator_kernel(0.7, 1.3, x, y, xs, ys)),
+        ("oscillator-anti", gp.build_min_packet(ANTI),
+         lambda p, pts: propagate_oscillator(p, 1.1, pts, omega=0.9),
+         lambda x, y, xs, ys: full_oscillator_kernel(1.1, 0.9, x, y, xs, ys)),
+        ("magnetic", GENERIC, lambda p, pts: propagate_magnetic(p, 0.8, pts, omega_larmor=0.9),
+         lambda x, y, xs, ys: full_magnetic_kernel(0.8, 0.9, x, y, xs, ys)),
+        ("magnetic-negative-anti", gp.build_min_packet(ANTI),
+         lambda p, pts: propagate_magnetic(p, 0.8, pts, omega_larmor=-0.9),
+         lambda x, y, xs, ys: full_magnetic_kernel(0.8, -0.9, x, y, xs, ys)),
+    ]
+
+    @pytest.mark.parametrize("name, params, call, kernel", CASES, ids=[c[0] for c in CASES])
+    def test_factors_reproduce_full_kernel(self, monkeypatch, rng, name, params, call, kernel):
+        seen = []
+
+        def capture(f, box, spec=None):
+            seen.append(f)
+            return np.zeros(len(pts), dtype=complex)
+
+        monkeypatch.setattr(propagate_module, "integrate_adaptive", capture)
+        pts = rng.uniform(-1.0, 1.0, size=(7, 2))
+        call(params, [tuple(p) for p in pts])
+        (integrand,) = seen
+        X, Y = np.meshgrid(rng.uniform(-1.5, 1.5, 11), rng.uniform(-1.5, 1.5, 9), indexing="ij")
+        got = integrand(X, Y)
+        x = pts[:, 0, None, None]
+        y = pts[:, 1, None, None]
+        want = kernel(x, y, X, Y) * gp.wavefunction(params, X, Y)
+        assert got.shape == (7, 11, 9)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestExponentFit:
