@@ -2,20 +2,28 @@
 
 The integrands here are smooth Gaussians times polynomials, so high-order
 Gauss rules converge extremely fast; adaptivity only has to handle the case
-where the box is much wider than the packet.  Panels are bisected in both
-directions until the difference between a rule and its refinement falls
-under an area-proportional share of the total budget.
+where the box is much wider than the packet.  Each panel's error is
+estimated as the difference between a rule and its refinement.  The
+refinement is global, as in QUADPACK's QAG (Piessens et al., 1983): the
+panel with the largest estimate is bisected in both directions until the
+estimates summed over all panels fall within the budget for the whole box.
+No panel is held to a share of its own, so none is split merely because
+its share has fallen below double-precision roundoff.
 
 An integrand may be vector-valued: a stack of components of shape
 ``(..., n, n)`` on the ``n x n`` node grid.  All components then share one
-partition, and a panel is split until every component meets its share.
+partition, a panel is ranked by its largest component error, and
+refinement goes on until every component's summed estimate meets the
+budget.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import count
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,10 +36,12 @@ __all__ = ["QuadratureSpec", "gauss_legendre_2d", "integrate_adaptive"]
 class QuadratureSpec:
     """Knobs for the adaptive integrator.
 
-    ``abs_tol`` is the absolute error budget for the whole box.  Each panel
-    must either meet its area-proportional share (estimated as the
-    difference between the ``order`` and ``refined_order`` rules) or be
-    split, up to ``max_splits`` bisection levels.  ``half_width_sigmas``
+    ``abs_tol`` bounds the error estimate summed over all panels of the
+    box, per component; a panel's estimate is the difference between its
+    ``order`` and ``refined_order`` rules.  The worst panel is split until
+    the sum meets ``abs_tol`` or every panel has had ``max_splits``
+    bisections; a sum still above ``10 * abs_tol`` then raises
+    :class:`~gausspack.errors.ToleranceError`.  ``half_width_sigmas``
     controls how many principal standard deviations of the density the
     default integration box extends to.
     """
@@ -81,6 +91,17 @@ def gauss_legendre_2d(
     return complex(result) if result.ndim == 0 else result.astype(complex)
 
 
+class _Panel(NamedTuple):
+    # Field order is heap order: largest component error first; ``seq``
+    # breaks ties, so the arrays after it are never compared.
+    neg_worst: float
+    seq: int
+    bounds: tuple[float, float, float, float]
+    depth: int
+    fine: complex | np.ndarray
+    err: np.ndarray
+
+
 def integrate_adaptive(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     box: tuple[float, float, float, float],
@@ -88,53 +109,64 @@ def integrate_adaptive(
 ) -> complex | np.ndarray:
     """Integrate ``f`` over the rectangle ``box`` to the requested tolerance.
 
-    A stacked integrand (see :func:`gauss_legendre_2d`) returns one value
-    per component, and each component must meet the error budget.
+    The panel with the largest error estimate is bisected in both
+    directions until every component's summed estimate over all panels is
+    within ``abs_tol``, or until every panel has reached ``max_splits``
+    bisections.  A stacked integrand (see :func:`gauss_legendre_2d`)
+    returns one value per component.
 
     Raises
     ------
     ToleranceError
-        If a rule value is not finite, or if panels at the maximum
-        bisection depth still leave some component's estimated error above
-        the budget.
+        If a rule value is not finite, or if some component's summed error
+        estimate still exceeds ``10 * abs_tol`` when no panel can be split.
     """
     spec = spec or QuadratureSpec()
     x0, x1, y0, y1 = box
-    total_area = (x1 - x0) * (y1 - y0)
-    if total_area <= 0:
+    if (x1 - x0) * (y1 - y0) <= 0:
         raise ValueError(f"box must have positive area, got {box}")
 
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    stack: list[tuple[float, float, float, float, int]] = [(x0, x1, y0, y1, 0)]
-    while stack:
-        px0, px1, py0, py1, depth = stack.pop()
-        panel = (px0, px1, py0, py1)
-        coarse = gauss_legendre_2d(f, panel, spec.order)
-        fine = gauss_legendre_2d(f, panel, spec.refined_order)
+    seq = count()
+    splittable: list[_Panel] = []  # heap, worst panel first
+    finished: list[_Panel] = []  # panels at max_splits
+
+    def add(bounds: tuple[float, float, float, float], depth: int) -> np.ndarray:
+        coarse = gauss_legendre_2d(f, bounds, spec.order)
+        fine = gauss_legendre_2d(f, bounds, spec.refined_order)
         err = np.abs(fine - coarse)
         # A NaN or inf in either rule leaves the difference non-finite.
         if not np.all(np.isfinite(err)):
-            raise ToleranceError(f"integrand is not finite on panel {panel}")
-        share = spec.abs_tol * ((px1 - px0) * (py1 - py0)) / total_area
-        if depth >= spec.max_splits or np.all(err <= share):
-            total += fine
-            err_total += err
+            raise ToleranceError(f"integrand is not finite on panel {bounds}")
+        panel = _Panel(-float(np.max(err, initial=0.0)), next(seq), bounds, depth, fine, err)
+        if depth >= spec.max_splits:
+            finished.append(panel)
         else:
-            xm = 0.5 * (px0 + px1)
-            ym = 0.5 * (py0 + py1)
-            stack.extend(
-                [
-                    (px0, xm, py0, ym, depth + 1),
-                    (xm, px1, py0, ym, depth + 1),
-                    (px0, xm, ym, py1, depth + 1),
-                    (xm, px1, ym, py1, depth + 1),
-                ]
-            )
-    worst = float(np.max(err_total, initial=0.0))
+            heapq.heappush(splittable, panel)
+        return err
+
+    def leaf_errors() -> np.ndarray:
+        return np.sum([panel.err for panel in finished + splittable], axis=0)
+
+    err_sum = add((x0, x1, y0, y1), 0)
+    while splittable and np.any(err_sum > spec.abs_tol):
+        worst_panel = heapq.heappop(splittable)
+        px0, px1, py0, py1 = worst_panel.bounds
+        xm = 0.5 * (px0 + px1)
+        ym = 0.5 * (py0 + py1)
+        err_sum = err_sum - worst_panel.err
+        for quarter in ((px0, xm, py0, ym), (xm, px1, py0, ym),
+                        (px0, xm, ym, py1), (xm, px1, ym, py1)):
+            err_sum = err_sum + add(quarter, worst_panel.depth + 1)
+        if not np.any(err_sum > spec.abs_tol):
+            # The running sum is built by subtraction; confirm it from the
+            # leaves before stopping.
+            err_sum = leaf_errors()
+
+    worst = float(np.max(leaf_errors(), initial=0.0))
     if worst > 10.0 * spec.abs_tol:
         raise ToleranceError(
             f"quadrature error estimate {worst:.3e} exceeds budget "
             f"{spec.abs_tol:.3e} after {spec.max_splits} splits"
         )
-    return total
+    total = np.sum([panel.fine for panel in finished + splittable], axis=0)
+    return complex(total) if total.ndim == 0 else total

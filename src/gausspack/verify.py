@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, Optional
 import numpy as np
 
 from .constants import DEFAULT_SEED, HBAR, MASS
-from .errors import InvalidParameterError
+from .errors import GausspackError, InvalidParameterError
 from .evolution import EvolutionContext, evolve_free, evolve_magnetic, evolve_oscillator, shrink_analysis
 from .fluctuations import (
     angular_momentum_stats,
@@ -847,7 +847,11 @@ def run_checks(
     seed: int = DEFAULT_SEED,
     report: Optional[Callable[[CheckResult], None]] = None,
 ) -> list[CheckResult]:
-    """Run the named checks (all by default), in declaration order."""
+    """Run the named checks (all by default), in declaration order.
+
+    A :class:`GausspackError` raised inside a check becomes a failing result
+    whose summary is ``error: <message>``; the remaining checks still run.
+    """
     selected = list(CHECKS) if names is None else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
@@ -856,7 +860,16 @@ def run_checks(
         )
     results = []
     for name in selected:
-        result = CHECKS[name](seed=seed)
+        start = time.perf_counter()
+        try:
+            result = CHECKS[name](seed=seed)
+        except GausspackError as exc:
+            result = CheckResult(
+                name=name,
+                passed=False,
+                duration=time.perf_counter() - start,
+                summary=f"error: {exc}",
+            )
         results.append(result)
         if report is not None:
             report(result)

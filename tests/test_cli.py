@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gausspack as gp
-from gausspack import cli
+from gausspack import cli, verify
 from gausspack.cli import main
 
 
@@ -343,6 +343,27 @@ class TestVerify:
     def test_suite_and_checks_are_exclusive(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "min", "--checks", "fock")
         assert code == 1 and "error:" in err
+
+    def test_check_error_fails_that_check_only(self, capsys, monkeypatch, tmp_path):
+        def broken(seed):
+            raise gp.ToleranceError("quadrature budget missed")
+
+        monkeypatch.setitem(verify.CHECKS, "subpoisson", broken)
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--checks", "subpoisson,squeezing",
+                                 "--report", str(target))
+        assert code == 1
+        assert out == ""
+        doc = json.loads(target.read_text())
+        assert doc["passed"] is False
+        failed, ran = doc["results"]
+        assert failed["name"] == "subpoisson" and failed["passed"] is False
+        assert failed["summary"] == "error: quadrature budget missed"
+        assert failed["duration"] >= 0.0
+        assert ran["name"] == "squeezing" and ran["passed"] is True
+        lines = err.splitlines()
+        assert lines[0].startswith("FAIL subpoisson: error: quadrature budget missed")
+        assert lines[1].startswith("PASS squeezing:")
 
 
 class TestPlumbing:

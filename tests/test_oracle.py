@@ -32,11 +32,17 @@ from gausspack.oracle.propagate import (
     propagate_magnetic,
     propagate_oscillator,
 )
+from gausspack.oracle import quadrature as quadrature_module
 from gausspack.oracle.quadrature import QuadratureSpec, gauss_legendre_2d, integrate_adaptive
 
 
 GENERIC = RealParams(mu=1.1, alpha=1.3, beta=0.4, gamma=0.9, chi_a=-0.5,
                      chi_c=0.7, rho=0.3, f1=0.6, f2=-0.3, g1=0.2, g2=0.8)
+
+
+#: Strongly displaced and chirped: its moment integrands oscillate across a wide box.
+DISPLACED = RealParams(mu=1.0, alpha=0.6, beta=-0.3, gamma=1.8, chi_a=1.2,
+                       chi_c=-0.9, rho=0.8, f1=2.5, f2=1.7, g1=-1.9, g2=-1.4)
 
 
 #: A minimal packet whose internal and centre motions rotate in opposite senses.
@@ -82,6 +88,38 @@ class TestQuadrature:
         spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-15, max_splits=0)
         with pytest.raises(ToleranceError):
             integrate_adaptive(lambda x, y: np.cos(40.0 * x * y), (-3.0, 3.0, -3.0, 3.0), spec)
+
+    def test_narrow_off_centre_gaussian(self):
+        s, (a, b) = 0.05, (3.3, -6.1)
+        val = integrate_adaptive(
+            lambda x, y: np.exp(-((x - a) ** 2 + (y - b) ** 2) / s**2), (-10.0, 10.0, -10.0, 10.0)
+        )
+        assert abs(val - math.pi * s**2) <= 1e-13
+
+    @pytest.fixture
+    def rule_passes(self, monkeypatch):
+        """Boxes of every ``gauss_legendre_2d`` call the engine makes."""
+        calls = []
+
+        def counting(f, box, order):
+            calls.append(box)
+            return gauss_legendre_2d(f, box, order)
+
+        monkeypatch.setattr(quadrature_module, "gauss_legendre_2d", counting)
+        return calls
+
+    def test_unmet_budget_raises_after_every_split(self, rule_passes):
+        spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-15, max_splits=2)
+        with pytest.raises(ToleranceError, match="exceeds budget"):
+            integrate_adaptive(lambda x, y: np.cos(40.0 * x * y), (-3.0, 3.0, -3.0, 3.0), spec)
+        # Two rules on each of the 1 + 4 + 16 panels down to max_splits.
+        assert len(rule_passes) == 2 * 21
+
+    def test_displaced_chirped_moment_takes_few_rule_passes(self, rule_passes):
+        val = expectation(DISPLACED, angular_momentum_op())
+        assert val.real == pytest.approx(HBAR * gp.angular_split(DISPLACED).total, abs=1e-10)
+        # Bisecting every panel above its area share of abs_tol took 850.
+        assert len(rule_passes) <= 100
 
     @pytest.mark.parametrize("params, kernel", [
         (GENERIC, lambda x, y, xs, ys: full_free_kernel(0.9, x, y, xs, ys)),
