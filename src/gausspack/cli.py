@@ -20,10 +20,12 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .constants import DEFAULT_SEED, HBAR, MASS
 from .errors import GausspackError, InvalidParameterError
 from .evolution import (
@@ -108,37 +110,38 @@ def _read_json(path: str) -> Any:
         return json.load(handle)
 
 
-def _load_params(path: str) -> RealParams:
+def _load_record(path: str, *records: type[Record]) -> Record:
+    """Read one of ``records`` from a JSON file (or '-' for stdin).
+
+    The object may be wrapped under its record's name, as in
+    ``{"packet": {...}}`` or ``{"spec": {...}}``.  Of several records, the
+    first whose leading key the object holds is read, else the last: a
+    spec is told from a packet by its ``L_i_abs``.
+    """
     data = _read_json(path)
-    if isinstance(data, dict) and "packet" in data and isinstance(data["packet"], dict):
-        data = data["packet"]
-    if not isinstance(data, dict):
-        raise InvalidParameterError("packet file must hold a JSON object")
-    return RealParams.from_dict(data)
+    for record in records:
+        if isinstance(data, dict) and isinstance(data.get(record.record_name), dict):
+            data = data[record.record_name]
+            break
+    for record in records[:-1]:
+        if isinstance(data, dict) and record.json_keys()[0] in data:
+            return record.from_dict(data)
+    return records[-1].from_dict(data)
 
 
-def _load_spec(path: str) -> MinPacketSpec:
-    data = _read_json(path)
-    if isinstance(data, dict) and "spec" in data and isinstance(data["spec"], dict):
-        data = data["spec"]
-    if not isinstance(data, dict):
-        raise InvalidParameterError("spec file must hold a JSON object")
-    return MinPacketSpec.from_dict(data)
+def _load_packet(args: argparse.Namespace) -> Optional[RealParams]:
+    """The packet of ``--params``, or of ``--spec`` holding a packet or a spec."""
+    if args.params:
+        return _load_record(args.params, RealParams)
+    if args.spec:
+        record = _load_record(args.spec, MinPacketSpec, RealParams)
+        return build_min_packet(record) if isinstance(record, MinPacketSpec) else record
+    return None
 
 
-def _load_packet_or_spec(path: str) -> RealParams:
-    """Read either packet parameters or a minimal-packet spec; build if needed."""
-    data = _read_json(path)
-    if isinstance(data, dict):
-        if "spec" in data and isinstance(data["spec"], dict):
-            data = data["spec"]
-        elif "packet" in data and isinstance(data["packet"], dict):
-            data = data["packet"]
-    if not isinstance(data, dict):
-        raise InvalidParameterError("input file must hold a JSON object")
-    if "L_i_abs" in data:
-        return build_min_packet(MinPacketSpec.from_dict(data))
-    return RealParams.from_dict(data)
+def _with_total(record: Any) -> dict[str, Any]:
+    """A two-part record's fields followed by their ``total``."""
+    return {**asdict(record), "total": record.total}
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +182,7 @@ def _add_spec_options(parser: argparse.ArgumentParser, require_li: bool = False)
 
 def _spec_from_args(args: argparse.Namespace, spec_omega: Optional[float] = None) -> MinPacketSpec:
     if getattr(args, "spec", None):
-        return _load_spec(args.spec)
+        return _load_record(args.spec, MinPacketSpec)
     if args.Li is None:
         raise InvalidParameterError("either --spec or --Li is required")
     sign_i = args.sign_i
@@ -256,14 +259,11 @@ def _parse_times(args: argparse.Namespace) -> Optional[list[float]]:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    if args.params:
-        params = _load_params(args.params)
-    elif args.spec:
-        params = _load_packet_or_spec(args.spec)
-    elif args.Li is not None:
+    params = _load_packet(args)
+    if params is None:
+        if args.Li is None:
+            raise InvalidParameterError("describe needs --params, --spec or --Li")
         params = build_min_packet(_spec_from_args(args))
-    else:
-        raise InvalidParameterError("describe needs --params, --spec or --Li")
     x0, y0, px0, py0 = first_moments(params)
     split = angular_split(params)
     geometry = ellipse(params, nu=args.nu)
@@ -274,19 +274,8 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         "norm_prefactor": normalization(params),
         "center": {"x0": x0, "y0": y0, "px0": px0, "py0": py0},
         "covariance": gaussian_state(params).cov,
-        "angular_momentum": {
-            "center": split.center,
-            "intrinsic": split.intrinsic,
-            "total": split.total,
-        },
-        "ellipse": {
-            "nu": geometry.nu,
-            "a_plus": geometry.a_plus,
-            "a_minus": geometry.a_minus,
-            "eccentricity": geometry.eccentricity,
-            "area": geometry.area,
-            "theta": geometry.theta,
-        },
+        "angular_momentum": _with_total(split),
+        "ellipse": asdict(geometry),
         "invariants": {
             "D0": invariants.d0,
             "D2": invariants.d2,
@@ -310,12 +299,8 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
         "spec": spec.to_dict(),
         "packet": params.to_dict(),
         "eta": spec.eta,
-        "energy": {"center": energy.center, "internal": energy.internal, "total": energy.total},
-        "angular_momentum": {
-            "center": split.center,
-            "intrinsic": split.intrinsic,
-            "total": split.total,
-        },
+        "energy": _with_total(energy),
+        "angular_momentum": _with_total(split),
         "sigma_L": sigma_l(spec),
         "squeezing": {
             "predicted": min_packet_squeezing(spec),
@@ -492,11 +477,8 @@ def _evolve_mode_rows(args: argparse.Namespace,
 
 def _evolve_free_rows(args: argparse.Namespace,
                       times: Optional[list[float]]) -> tuple[dict, list[dict]]:
-    if args.params:
-        params = _load_params(args.params)
-    elif args.spec:
-        params = _load_packet_or_spec(args.spec)
-    else:
+    params = _load_packet(args)
+    if params is None:
         raise InvalidParameterError("--kind free needs --params FILE (or --spec)")
     head: dict[str, Any] = {"packet": params.to_dict()}
     try:
@@ -504,21 +486,8 @@ def _evolve_free_rows(args: argparse.Namespace,
     except GausspackError:
         shrink = None
     if shrink is not None:
-        head["shrink"] = {
-            "d_plus": shrink.d_plus,
-            "d_minus": shrink.d_minus,
-            "shrinks": shrink.shrinks,
-            "tau_min": shrink.tau_min,
-            "f_min": shrink.f_min,
-            "tau_axis": shrink.tau_axis,
-            "eps_at_alignment": shrink.eps_at_alignment,
-        }
-        limits = free_asymptotics(params)
-        head["asymptotics"] = {
-            "eps_limit": limits.eps_limit,
-            "theta_limit": limits.theta_limit,
-            "growth_rate": limits.growth_rate,
-        }
+        head["shrink"] = asdict(shrink)
+        head["asymptotics"] = asdict(free_asymptotics(params))
     if times is None:
         # default span: past the width minimum when there is one, else a few
         # spreading times, in the dimensionless clock tau = 2*hbar*mu*t/mass
@@ -590,16 +559,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "schema_version": SCHEMA_VERSION,
         "seed": args.seed,
         "passed": all(r.passed for r in results),
-        "results": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "duration": r.duration,
-                "summary": r.summary,
-                "details": r.details,
-            }
-            for r in results
-        ],
+        "results": [asdict(r) for r in results],
     }
     _emit_json(document, args.out)
     return 0 if document["passed"] else 1

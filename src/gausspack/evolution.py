@@ -16,9 +16,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
+from ._record import Record
 from .constants import HBAR, MASS
 from .errors import InvalidParameterError
 from .minimal import MinPacketSpec
@@ -40,38 +41,29 @@ __all__ = [
 #: Largest dimensionless free-evolution time whose square is still finite.
 _TAU_MAX = math.sqrt(sys.float_info.max)
 
-_CONTEXT_KEYS = {"kind": "kind", "omega": "omega", "omega_larmor": "omega_L", "mass": "M"}
-
 
 @dataclass(frozen=True)
-class EvolutionContext:
+class EvolutionContext(Record, name="context"):
     """Which quadratic Hamiltonian drives the evolution.
 
     ``kind`` is one of ``"oscillator"``, ``"magnetic"``, ``"free"``.  The
     magnetic case uses the symmetric gauge for a uniform field; its
     ``omega_larmor`` is half the cyclotron frequency (sign = field
-    direction) and may be combined with a trap frequency ``omega``.
+    direction) and may be combined with a trap frequency ``omega``.  The
+    JSON keys are ``kind``, ``omega``, ``omega_L`` and ``M``.
     """
 
     kind: str
     omega: float = 0.0
-    omega_larmor: float = 0.0
-    mass: float = MASS
+    omega_larmor: float = field(default=0.0, metadata={"json": "omega_L"})
+    mass: float = field(default=MASS, metadata={"json": "M"})
 
     def __post_init__(self) -> None:
         if self.kind not in ("oscillator", "magnetic", "free"):
             raise InvalidParameterError(
                 f"kind must be 'oscillator', 'magnetic' or 'free', got {self.kind!r}"
             )
-        for name in ("omega", "omega_larmor", "mass"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from None
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        super().__post_init__()
         if self.mass <= 0:
             raise InvalidParameterError(f"mass must be positive, got {self.mass}")
         if self.kind == "oscillator":
@@ -94,22 +86,6 @@ class EvolutionContext:
         if self.kind == "magnetic":
             return math.hypot(self.omega, self.omega_larmor)
         return self.omega
-
-    def to_dict(self) -> dict[str, Any]:
-        return {key: getattr(self, attr) for attr, key in _CONTEXT_KEYS.items()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EvolutionContext":
-        if "kind" not in data:
-            raise InvalidParameterError("evolution context needs a 'kind' field")
-        extra = sorted(set(data) - set(_CONTEXT_KEYS.values()))
-        if extra:
-            raise InvalidParameterError(f"unknown context fields: {', '.join(extra)}")
-        kwargs: dict[str, Any] = {"kind": data["kind"]}
-        for attr, key in _CONTEXT_KEYS.items():
-            if key in data and attr != "kind":
-                kwargs[attr] = data[key]
-        return cls(**kwargs)
 
 
 def _matched_frequency(spec: MinPacketSpec, context: EvolutionContext) -> float:

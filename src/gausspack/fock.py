@@ -22,6 +22,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from ._record import Record
 from .constants import HBAR
 from .errors import InvalidParameterError
 from .minimal import MinPacketSpec
@@ -43,7 +44,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LGMode:
+class LGMode(Record, name="mode"):
     """Oscillator eigenmode with radial index ``n_r`` and winding ``m``.
 
     Normalized so that the squared modulus integrates to one at scale
@@ -55,10 +56,9 @@ class LGMode:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.n_r < 0 or self.n_r != int(self.n_r):
+        super().__post_init__()
+        if self.n_r < 0:
             raise InvalidParameterError(f"n_r must be a non-negative integer, got {self.n_r}")
-        if self.m != int(self.m):
-            raise InvalidParameterError(f"m must be an integer, got {self.m}")
         if self.mu <= 0:
             raise InvalidParameterError(f"mu must be positive, got {self.mu}")
 
@@ -84,9 +84,10 @@ def lg_mode_eval(n_r: int, m: int, mu: float, x, y) -> np.ndarray:
     than a separately overflowing polynomial value and weight.
     """
     mode = LGMode(n_r=n_r, m=m, mu=mu)  # validates arguments
+    n_r, m, mu = mode.n_r, mode.m, mode.mu
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    m_abs = abs(mode.m)
+    m_abs = abs(m)
     arg = mu * (x**2 + y**2)
     # psi_0 = arg^(m/2) e^(-arg/2) / sqrt(m!), assembled in log space.
     with np.errstate(divide="ignore", invalid="ignore"):

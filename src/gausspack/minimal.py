@@ -18,11 +18,11 @@ brute-force search that the energy bounds really are minima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record, real
 from .constants import HBAR, MASS
 from .errors import InvalidParameterError
 from .packet import GaussianState, RealParams, params_from_moments
@@ -42,20 +42,9 @@ __all__ = [
     "universal_invariants",
 ]
 
-_SPEC_KEYS = {
-    "l_i_abs": "L_i_abs",
-    "l_c_abs": "L_c_abs",
-    "sign_i": "lambda",
-    "sign_c": "lambda_c",
-    "u": "u",
-    "v": "v",
-    "omega": "omega",
-    "mass": "M",
-}
-
 
 @dataclass(frozen=True)
-class MinPacketSpec:
+class MinPacketSpec(Record, name="spec"):
     """Defining data of a minimal-energy rotating packet.
 
     Attributes
@@ -75,32 +64,26 @@ class MinPacketSpec:
         Oscillator frequency, must be positive.
     mass : float
         Particle mass, must be positive.
+
+    The JSON keys are ``L_i_abs``, ``L_c_abs``, ``lambda``, ``lambda_c``,
+    ``u``, ``v``, ``omega`` and ``M``.
     """
 
-    l_i_abs: float
-    l_c_abs: float = 0.0
-    sign_i: int = 1
-    sign_c: int = 1
+    l_i_abs: float = field(metadata={"json": "L_i_abs"})
+    l_c_abs: float = field(default=0.0, metadata={"json": "L_c_abs"})
+    sign_i: int = field(default=1, metadata={"json": "lambda"})
+    sign_c: int = field(default=1, metadata={"json": "lambda_c"})
     u: float = 0.0
     v: float = 0.0
     omega: float = 1.0
-    mass: float = MASS
+    mass: float = field(default=MASS, metadata={"json": "M"})
 
     def __post_init__(self) -> None:
-        for name in ("l_i_abs", "l_c_abs", "u", "v", "omega", "mass"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from None
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        for name in ("sign_i", "sign_c"):
-            value = getattr(self, name)
-            if value not in (-1, 1):
-                raise InvalidParameterError(f"{name} must be +1 or -1, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        super().__post_init__()
+        if self.sign_i not in (-1, 1) or self.sign_c not in (-1, 1):
+            raise InvalidParameterError(
+                f"rotation senses must be +1 or -1, got sign_i={self.sign_i}, sign_c={self.sign_c}"
+            )
         if self.l_i_abs < 0 or self.l_c_abs < 0:
             raise InvalidParameterError(
                 f"angular momentum magnitudes must be >= 0, got "
@@ -144,21 +127,6 @@ class MinPacketSpec:
     def w(self) -> float:
         """Relative phase ``sign_i * (v - u/2)`` between center and deformation."""
         return self.sign_i * (self.v - 0.5 * self.u)
-
-    def to_dict(self) -> dict[str, float | int]:
-        return {key: getattr(self, attr) for attr, key in _SPEC_KEYS.items()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MinPacketSpec":
-        expected = set(_SPEC_KEYS.values())
-        got = set(data)
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        if missing:
-            raise InvalidParameterError(f"missing spec fields: {', '.join(missing)}")
-        if extra:
-            raise InvalidParameterError(f"unknown spec fields: {', '.join(extra)}")
-        return cls(**{attr: data[key] for attr, key in _SPEC_KEYS.items()})
 
 
 @dataclass(frozen=True)
@@ -292,9 +260,23 @@ def internal_energy(
     is the objective whose minimum over all shapes with fixed internal
     angular momentum is tested by :func:`gausspack.verify.verify_minimum`.
     """
-    delta = alpha * gamma - beta**2
-    if delta <= 0 or alpha <= 0 or gamma <= 0:
+    alpha, beta, gamma = real(alpha, "alpha"), real(beta, "beta"), real(gamma, "gamma")
+    chi_a, chi_c, rho = real(chi_a, "chi_a"), real(chi_c, "chi_c"), real(rho, "rho")
+    omega = real(omega, "omega")
+    if alpha * gamma - beta**2 <= 0 or alpha <= 0 or gamma <= 0:
         raise InvalidParameterError("shape parameters must define a positive form")
+    return _internal_energy(alpha, beta, gamma, chi_a, chi_c, rho, omega)
+
+
+def _internal_energy(
+    alpha: float, beta: float, gamma: float, chi_a: float, chi_c: float, rho: float, omega: float
+) -> float:
+    """:func:`internal_energy` on finite floats that define a positive form.
+
+    The minimum search calls this directly: its charts only produce such
+    shapes, and it makes some 10^5 calls per check.
+    """
+    delta = alpha * gamma - beta**2
     kinetic = (
         gamma * (alpha**2 + 4.0 * chi_a**2)
         + alpha * (gamma**2 + 4.0 * chi_c**2)
@@ -313,6 +295,7 @@ def energy_split(
     part is the trace combination of the covariances.  Works for any scale,
     not just trap-matched packets.
     """
+    omega, mass = real(omega, "omega"), real(mass, "mass")
     if omega <= 0 or mass <= 0:
         raise InvalidParameterError("omega and mass must be positive")
     cov = state.cov
@@ -322,7 +305,7 @@ def energy_split(
     internal = (cov[2, 2] + cov[3, 3]) / (2.0 * mass) + 0.5 * mass * omega**2 * (
         cov[0, 0] + cov[1, 1]
     )
-    return EnergySplit(center=center, internal=internal)
+    return EnergySplit(center=float(center), internal=float(internal))
 
 
 def squeezing_factors(cov: np.ndarray, omega: float, mass: float = MASS) -> tuple[float, float]:

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..errors import ToleranceError
+from ..errors import InvalidParameterError, ToleranceError
 
 __all__ = ["QuadratureSpec", "gauss_legendre_2d", "integrate_adaptive"]
 
@@ -54,11 +54,11 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         if self.order < 2 or self.refined_order <= self.order:
-            raise ValueError(
+            raise InvalidParameterError(
                 f"need refined_order > order >= 2, got {self.order}, {self.refined_order}"
             )
-        if self.abs_tol <= 0 or self.max_splits < 0 or self.half_width_sigmas <= 0:
-            raise ValueError("tolerances and widths must be positive")
+        if not (self.abs_tol > 0 and self.max_splits >= 0 and self.half_width_sigmas > 0):
+            raise InvalidParameterError("tolerances and widths must be positive")
 
 
 @lru_cache(maxsize=32)
@@ -115,16 +115,24 @@ def integrate_adaptive(
     bisections.  A stacked integrand (see :func:`gauss_legendre_2d`)
     returns one value per component.
 
+    The caller must size ``box`` to the integrand.  Refinement is driven
+    by the two rules disagreeing, so a feature narrower than the node
+    spacing of the first panel, which both rules miss, integrates to about
+    0 with a zero error estimate and raises nothing.  The oracle's own
+    callers derive the box from the packet's widths for this reason.
+
     Raises
     ------
+    InvalidParameterError
+        If ``box`` does not have positive area.
     ToleranceError
         If a rule value is not finite, or if some component's summed error
         estimate still exceeds ``10 * abs_tol`` when no panel can be split.
     """
     spec = spec or QuadratureSpec()
     x0, x1, y0, y1 = box
-    if (x1 - x0) * (y1 - y0) <= 0:
-        raise ValueError(f"box must have positive area, got {box}")
+    if not (x1 - x0) * (y1 - y0) > 0:
+        raise InvalidParameterError(f"box must have positive area, got {box}")
 
     seq = count()
     splittable: list[_Panel] = []  # heap, worst panel first

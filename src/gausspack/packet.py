@@ -22,11 +22,12 @@ real numbers.  This module implements those closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Any, Mapping, NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record, real
 from .constants import DELTA_FLOOR, HBAR, MASS
 from .errors import InvalidParameterError
 
@@ -48,25 +49,9 @@ __all__ = [
     "ellipse",
 ]
 
-# JSON field names follow the uppercase convention for the linear terms; the
-# Python attributes stay lowercase per PEP 8.
-_JSON_KEYS = {
-    "mu": "mu",
-    "alpha": "alpha",
-    "beta": "beta",
-    "gamma": "gamma",
-    "chi_a": "chi_a",
-    "chi_c": "chi_c",
-    "rho": "rho",
-    "f1": "F1",
-    "f2": "F2",
-    "g1": "G1",
-    "g2": "G2",
-}
-
 
 @dataclass(frozen=True)
-class RealParams:
+class RealParams(Record, name="packet"):
     """The eleven real parameters of a normalizable 2D Gaussian packet.
 
     Attributes
@@ -82,7 +67,8 @@ class RealParams:
         internal rotation and are unconstrained.
     f1, f2, g1, g2 : float
         Real and imaginary parts of the linear coefficients F and G, which
-        displace the packet in phase space.
+        displace the packet in phase space.  Their JSON keys are the
+        uppercase ``F1``, ``F2``, ``G1``, ``G2``.
     """
 
     mu: float
@@ -92,25 +78,13 @@ class RealParams:
     chi_a: float = 0.0
     chi_c: float = 0.0
     rho: float = 0.0
-    f1: float = 0.0
-    f2: float = 0.0
-    g1: float = 0.0
-    g2: float = 0.0
+    f1: float = field(default=0.0, metadata={"json": "F1"})
+    f2: float = field(default=0.0, metadata={"json": "F2"})
+    g1: float = field(default=0.0, metadata={"json": "G1"})
+    g2: float = field(default=0.0, metadata={"json": "G2"})
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                raise InvalidParameterError(f"{f.name} must be a real number, got {value!r}")
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise InvalidParameterError(
-                    f"{f.name} must be a real number, got {value!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
-            object.__setattr__(self, f.name, value)
+        super().__post_init__()
         if self.mu <= 0:
             raise InvalidParameterError(f"mu must be positive, got {self.mu}")
         if self.alpha <= 0 or self.gamma <= 0:
@@ -152,33 +126,6 @@ class RealParams:
     def lin_g(self) -> complex:
         """Complex linear coefficient multiplying y."""
         return complex(self.g1, self.g2)
-
-    def to_dict(self) -> dict[str, float]:
-        """Plain-dict form with the canonical JSON field names."""
-        return {key: float(getattr(self, attr)) for attr, key in _JSON_KEYS.items()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RealParams":
-        """Build from a mapping using the canonical JSON field names.
-
-        All eleven keys are required; unknown keys are rejected so typos
-        do not silently fall back to defaults.
-        """
-        expected = set(_JSON_KEYS.values())
-        got = set(data)
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        if missing:
-            raise InvalidParameterError(f"missing packet fields: {', '.join(missing)}")
-        if extra:
-            raise InvalidParameterError(f"unknown packet fields: {', '.join(extra)}")
-        kwargs = {}
-        for attr, key in _JSON_KEYS.items():
-            value = data[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidParameterError(f"packet field {key} must be a number, got {value!r}")
-            kwargs[attr] = float(value)
-        return cls(**kwargs)
 
 
 class FirstMoments(NamedTuple):
@@ -456,6 +403,7 @@ def ellipse(params: RealParams, nu: float = 1.0) -> EllipseGeometry:
     ``sin 2theta = -2 beta / r``.  When the contour is a circle (r = 0) the
     angle is reported as 0.
     """
+    nu = real(nu, "nu")
     if nu <= 0:
         raise InvalidParameterError(f"nu must be positive, got {nu}")
     alpha, beta, gamma = params.alpha, params.beta, params.gamma

@@ -13,13 +13,15 @@ so the closed-form modules never import the oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from ._record import real
 from .constants import DEFAULT_SEED, HBAR, MASS
 from .errors import GausspackError, InvalidParameterError
 from .evolution import EvolutionContext, evolve_free, evolve_magnetic, evolve_oscillator, shrink_analysis
@@ -34,8 +36,8 @@ from .fluctuations import (
 from .fock import LGMode, fock_coefficients, generating_derivatives
 from .minimal import (
     MinPacketSpec,
+    _internal_energy,
     build_min_packet,
-    internal_energy,
     min_packet_covariances,
     min_packet_state,
     min_packet_squeezing,
@@ -80,6 +82,39 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name}: {self.summary} [{self.duration:.2f}s]"
+
+
+#: What a check's body returns: ``(passed, summary, details)``.
+_Outcome = Tuple[bool, str, dict]
+
+#: Every check takes ``seed``; the ones on fixed grids ignore it.
+CHECKS: Dict[str, Callable[..., CheckResult]] = {}
+
+
+def _check(name: str) -> Callable[[Callable[..., _Outcome]], Callable[..., CheckResult]]:
+    """Register a check in :data:`CHECKS` under ``name``, in declaration order.
+
+    The registered function times the body and returns its outcome as a
+    :class:`CheckResult` carrying ``name`` and the duration.
+    """
+
+    def register(body: Callable[..., _Outcome]) -> Callable[..., CheckResult]:
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            passed, summary, details = body(*args, **kwargs)
+            return CheckResult(
+                name=name,
+                passed=passed,
+                duration=time.perf_counter() - start,
+                summary=summary,
+                details=details,
+            )
+
+        CHECKS[name] = check
+        return check
+
+    return register
 
 
 def random_params(rng: np.random.Generator) -> RealParams:
@@ -175,7 +210,7 @@ def _chart_objective(target: float, omega: float, solve_for_rho: bool):
             chi = (rho * xi - target * delta) / (2.0 * beta)
             if abs(chi) > 1e6:
                 return math.inf
-        return internal_energy(
+        return _internal_energy(
             alpha=g + xi,
             beta=beta,
             gamma=g - xi,
@@ -217,6 +252,7 @@ def verify_minimum(
     ``l_i_abs`` (two constraint charts, ``n_starts`` searches each) and
     compares the best value found against the predicted minimum.
     """
+    l_i_abs, omega = real(l_i_abs, "l_i_abs"), real(omega, "omega")
     if l_i_abs < 0:
         raise InvalidParameterError(f"l_i_abs must be >= 0, got {l_i_abs}")
     if omega <= 0:
@@ -311,9 +347,9 @@ def verify_center_minimum(
     )
 
 
-def check_internal_minimum(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("minimum")
+def check_internal_minimum(seed: int = DEFAULT_SEED) -> _Outcome:
     """Brute-force search never beats, and does reach, ``hbar w (1 + l)``."""
-    start = time.perf_counter()
     tolerance = 1e-6
     rows = {}
     passed = True
@@ -329,20 +365,15 @@ def check_internal_minimum(seed: int = DEFAULT_SEED) -> CheckResult:
         }
         passed = passed and report.passed
         worst = max(worst, abs(report.gap))
-    return CheckResult(
-        name="minimum",
-        passed=passed,
-        duration=time.perf_counter() - start,
-        summary=f"internal-energy bound at 4 angular momenta, worst |gap| {worst:.2e}",
-        details=rows,
-    )
+    summary = f"internal-energy bound at 4 angular momenta, worst |gap| {worst:.2e}"
+    return passed, summary, rows
 
 
+@_check("moments")
 def check_moments_vs_quadrature(
     n_packets: int = 100, seed: int = DEFAULT_SEED, tol: float = 1e-8
-) -> CheckResult:
+) -> _Outcome:
     """All first and second moments match adaptive quadrature to ``tol``."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     ops = [
         position_monomial(1, 0),
@@ -366,22 +397,17 @@ def check_moments_vs_quadrature(
                 raw = expectation(params, sym).real
                 central = raw - numeric_firsts[i] * numeric_firsts[j]
                 worst = max(worst, abs(central - cov[i, j]))
-    duration = time.perf_counter() - start
-    return CheckResult(
-        name="moments",
-        passed=worst < tol and worst_norm < tol,
-        duration=duration,
-        summary=(
-            f"{n_packets} random packets, worst moment error {worst:.2e}, "
-            f"worst norm defect {worst_norm:.2e}"
-        ),
-        details={"worst_moment_error": worst, "worst_norm_defect": worst_norm, "tol": tol},
+    summary = (
+        f"{n_packets} random packets, worst moment error {worst:.2e}, "
+        f"worst norm defect {worst_norm:.2e}"
     )
+    details = {"worst_moment_error": worst, "worst_norm_defect": worst_norm, "tol": tol}
+    return worst < tol and worst_norm < tol, summary, details
 
 
-def check_invariants_grid(seed: int = DEFAULT_SEED, tol: float = 1e-12) -> CheckResult:
+@_check("invariants")
+def check_invariants_grid(seed: int = DEFAULT_SEED, tol: float = 1e-12) -> _Outcome:
     """``d0 = hbar^4/16`` and ``d2 = -hbar^4/2`` across the minimal family."""
-    start = time.perf_counter()
     worst_d0 = worst_d2 = 0.0
     count = 0
     for i, l_i in enumerate((0.0, 0.3, 1.0, 2.7, 5.0)):
@@ -399,13 +425,9 @@ def check_invariants_grid(seed: int = DEFAULT_SEED, tol: float = 1e-12) -> Check
                 worst_d0 = max(worst_d0, abs(inv.d0 - HBAR**4 / 16.0))
                 worst_d2 = max(worst_d2, abs(inv.d2 + HBAR**4 / 2.0))
                 count += 1
-    return CheckResult(
-        name="invariants",
-        passed=worst_d0 < tol and worst_d2 < tol,
-        duration=time.perf_counter() - start,
-        summary=f"{count} grid points, worst |d0 - 1/16| {worst_d0:.2e}, worst |d2 + 1/2| {worst_d2:.2e}",
-        details={"worst_d0": worst_d0, "worst_d2": worst_d2, "tol": tol},
-    )
+    summary = f"{count} grid points, worst |d0 - 1/16| {worst_d0:.2e}, worst |d2 + 1/2| {worst_d2:.2e}"
+    details = {"worst_d0": worst_d0, "worst_d2": worst_d2, "tol": tol}
+    return worst_d0 < tol and worst_d2 < tol, summary, details
 
 
 def _drift(values: Iterable[float]) -> float:
@@ -415,9 +437,9 @@ def _drift(values: Iterable[float]) -> float:
     return max(abs(v - ref) for v in values) / scale
 
 
-def check_invariant_drift(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> CheckResult:
+@_check("drift")
+def check_invariant_drift(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> _Outcome:
     """d0, d2 and the total angular momentum are conserved on trajectories."""
-    start = time.perf_counter()
     drifts = {}
 
     spec = MinPacketSpec(l_i_abs=0.8, l_c_abs=1.3, sign_i=1, sign_c=-1, u=0.4, v=1.1, omega=1.3)
@@ -475,18 +497,13 @@ def check_invariant_drift(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> Check
     )
 
     worst = max(drifts.values())
-    return CheckResult(
-        name="drift",
-        passed=worst < tol,
-        duration=time.perf_counter() - start,
-        summary=f"worst relative drift {worst:.2e} across three Hamiltonians",
-        details={**drifts, "tol": tol},
-    )
+    summary = f"worst relative drift {worst:.2e} across three Hamiltonians"
+    return worst < tol, summary, {**drifts, "tol": tol}
 
 
-def check_subpoisson_values(seed: int = DEFAULT_SEED, tol: float = 1e-12) -> CheckResult:
+@_check("subpoisson")
+def check_subpoisson_values(seed: int = DEFAULT_SEED, tol: float = 1e-12) -> _Outcome:
     """The optimum hits its two exact rational/quadratic-surd landmarks."""
-    start = time.perf_counter()
     expected = {
         0.125: (13.0 / 8.0, 33.0 / 32.0, 1.0 / math.sqrt(2.0)),
         1.0 / 3.0: (19.0 / 3.0, 26.0 / 9.0, math.sqrt(2.0 / 3.0)),
@@ -502,13 +519,8 @@ def check_subpoisson_values(seed: int = DEFAULT_SEED, tol: float = 1e-12) -> Che
         )
         rows[l_i] = {"l_total": opt.l_total, "sigma_l": opt.sigma_l, "eccentricity": opt.eccentricity}
         worst = max(worst, *errs)
-    return CheckResult(
-        name="subpoisson",
-        passed=worst < tol,
-        duration=time.perf_counter() - start,
-        summary=f"two exact operating points, worst error {worst:.2e}",
-        details={"worst": worst, **{str(k): v for k, v in rows.items()}},
-    )
+    summary = f"two exact operating points, worst error {worst:.2e}"
+    return worst < tol, summary, {"worst": worst, **{str(k): v for k, v in rows.items()}}
 
 
 def _coefficient_checks(spec: MinPacketSpec, n_overlaps: int) -> dict:
@@ -544,9 +556,9 @@ def _coefficient_checks(spec: MinPacketSpec, n_overlaps: int) -> dict:
     }
 
 
-def check_fock_expansions(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("fock")
+def check_fock_expansions(seed: int = DEFAULT_SEED) -> _Outcome:
     """Coefficient formulas against overlaps, norms, means and variances."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     specs = []
     for corotating in (True, False):
@@ -571,22 +583,17 @@ def check_fock_expansions(seed: int = DEFAULT_SEED) -> CheckResult:
         and worst["sigma_spread"] < 1e-9
         and worst["overlap_error"] < 1e-7
     )
-    return CheckResult(
-        name="fock",
-        passed=passed,
-        duration=time.perf_counter() - start,
-        summary=(
-            f"{len(specs)} expansions: norm defect {worst['norm_defect']:.1e}, "
-            f"mean defect {worst['mean_defect']:.1e}, variance-route spread "
-            f"{worst['sigma_spread']:.1e}, overlap error {worst['overlap_error']:.1e}"
-        ),
-        details=worst,
+    summary = (
+        f"{len(specs)} expansions: norm defect {worst['norm_defect']:.1e}, "
+        f"mean defect {worst['mean_defect']:.1e}, variance-route spread "
+        f"{worst['sigma_spread']:.1e}, overlap error {worst['overlap_error']:.1e}"
     )
+    return passed, summary, worst
 
 
-def check_magnetic_degeneracy(seed: int = DEFAULT_SEED, tol: float = 1e-12) -> CheckResult:
+@_check("magnetic")
+def check_magnetic_degeneracy(seed: int = DEFAULT_SEED, tol: float = 1e-12) -> _Outcome:
     """Doubly co-rotating packets have zero energy variance in a pure field."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(5):
@@ -603,13 +610,8 @@ def check_magnetic_degeneracy(seed: int = DEFAULT_SEED, tol: float = 1e-12) -> C
         )
         _, direct = energy_stats(min_packet_state(spec), context)
         worst = max(worst, abs(direct), abs(sigma_e(spec, context)))
-    return CheckResult(
-        name="magnetic",
-        passed=worst < tol,
-        duration=time.perf_counter() - start,
-        summary=f"5 random doubly co-rotating packets, worst energy variance {worst:.2e}",
-        details={"worst": worst, "tol": tol},
-    )
+    summary = f"5 random doubly co-rotating packets, worst energy variance {worst:.2e}"
+    return worst < tol, summary, {"worst": worst, "tol": tol}
 
 
 def _fit_error(
@@ -628,11 +630,11 @@ def _fit_error(
     )
 
 
+@_check("free")
 def check_free_shrinking(
     seed: int = DEFAULT_SEED, tol: float = 1e-10, fit_tol: float = 1e-6
-) -> CheckResult:
+) -> _Outcome:
     """Closed-form shrink landmarks and the propagator-fit round trip."""
-    start = time.perf_counter()
     worst_closed = 0.0
     worst_fit = 0.0
     for beta0 in (0.0, 0.3):
@@ -667,19 +669,16 @@ def check_free_shrinking(
                 sigma0,
                 evolve_free(params, t_fit).params,
             ))
-    return CheckResult(
-        name="free",
-        passed=worst_closed < tol and worst_fit < fit_tol,
-        duration=time.perf_counter() - start,
-        summary=(
-            f"4 shrinking packets: closed-form landmark error {worst_closed:.2e}, "
-            f"propagator-fit error {worst_fit:.2e}"
-        ),
-        details={"worst_closed": worst_closed, "worst_fit": worst_fit},
+    summary = (
+        f"4 shrinking packets: closed-form landmark error {worst_closed:.2e}, "
+        f"propagator-fit error {worst_fit:.2e}"
     )
+    details = {"worst_closed": worst_closed, "worst_fit": worst_fit}
+    return worst_closed < tol and worst_fit < fit_tol, summary, details
 
 
-def check_propagator_fits(seed: int = DEFAULT_SEED, fit_tol: float = 1e-6) -> CheckResult:
+@_check("propagators")
+def check_propagator_fits(seed: int = DEFAULT_SEED, fit_tol: float = 1e-6) -> _Outcome:
     """Oscillator and magnetic evolution of minimal packets, by propagator fit.
 
     A co- and an anti-rotating packet each go through the oscillator kernel
@@ -688,7 +687,6 @@ def check_propagator_fits(seed: int = DEFAULT_SEED, fit_tol: float = 1e-6) -> Ch
     fit starts from the law's centre and the initial packet's semi-major
     axis, which neither evolution changes.
     """
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = {"oscillator": 0.0, "magnetic": 0.0}
     for corotating in (True, False):
@@ -709,21 +707,16 @@ def check_propagator_fits(seed: int = DEFAULT_SEED, fit_tol: float = 1e-6) -> Ch
             x0, y0, _, _ = first_moments(reference)
             worst[law] = max(worst[law], _fit_error(sample, (x0, y0), ellipse(params).a_plus, reference))
     worst_fit = max(worst.values())
-    return CheckResult(
-        name="propagators",
-        passed=worst_fit < fit_tol,
-        duration=time.perf_counter() - start,
-        summary=(
-            f"co- and anti-rotating packets, propagator-fit error {worst['oscillator']:.2e} "
-            f"(oscillator), {worst['magnetic']:.2e} (field)"
-        ),
-        details={**worst, "fit_tol": fit_tol},
+    summary = (
+        f"co- and anti-rotating packets, propagator-fit error {worst['oscillator']:.2e} "
+        f"(oscillator), {worst['magnetic']:.2e} (field)"
     )
+    return worst_fit < fit_tol, summary, {**worst, "fit_tol": fit_tol}
 
 
-def check_squeezing_grid(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckResult:
+@_check("squeezing")
+def check_squeezing_grid(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> _Outcome:
     """Both axes squeeze to ``1/(1+eta)``, never reaching 1/2."""
-    start = time.perf_counter()
     worst = 0.0
     min_factor = math.inf
     for l_i in (0.0, 0.2, 1.0, 3.0, 10.0, 100.0):
@@ -736,21 +729,17 @@ def check_squeezing_grid(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckRe
                 target = min_packet_squeezing(spec)
                 worst = max(worst, abs(s_x - target), abs(s_y - target))
                 min_factor = min(min_factor, s_x, s_y)
-    return CheckResult(
-        name="squeezing",
-        passed=worst < tol and min_factor > 0.5,
-        duration=time.perf_counter() - start,
-        summary=(
-            f"48 grid points, worst |S - 1/(1+eta)| {worst:.2e}, "
-            f"smallest factor {min_factor:.6f} > 1/2"
-        ),
-        details={"worst": worst, "min_factor": min_factor, "tol": tol},
+    summary = (
+        f"48 grid points, worst |S - 1/(1+eta)| {worst:.2e}, "
+        f"smallest factor {min_factor:.6f} > 1/2"
     )
+    details = {"worst": worst, "min_factor": min_factor, "tol": tol}
+    return worst < tol and min_factor > 0.5, summary, details
 
 
-def check_identities(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckResult:
+@_check("identities")
+def check_identities(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> _Outcome:
     """Randomized classical identities used throughout the derivations."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = {"mehler": 0.0, "hermite_shift": 0.0, "laguerre_inversion": 0.0, "wick": 0.0}
 
@@ -817,29 +806,8 @@ def check_identities(seed: int = DEFAULT_SEED, tol: float = 1e-9) -> CheckResult
         worst["wick"] = max(worst["wick"], abs(algebraic - numeric) / scale)
 
     worst_overall = max(worst.values())
-    return CheckResult(
-        name="identities",
-        passed=worst_overall < tol,
-        duration=time.perf_counter() - start,
-        summary=f"randomized identity checks, worst relative error {worst_overall:.2e}",
-        details={**worst, "tol": tol},
-    )
-
-
-#: Every check takes ``seed``; the ones on fixed grids ignore it.
-CHECKS: Dict[str, Callable[..., CheckResult]] = {
-    "minimum": check_internal_minimum,
-    "moments": check_moments_vs_quadrature,
-    "invariants": check_invariants_grid,
-    "drift": check_invariant_drift,
-    "subpoisson": check_subpoisson_values,
-    "fock": check_fock_expansions,
-    "magnetic": check_magnetic_degeneracy,
-    "free": check_free_shrinking,
-    "propagators": check_propagator_fits,
-    "squeezing": check_squeezing_grid,
-    "identities": check_identities,
-}
+    summary = f"randomized identity checks, worst relative error {worst_overall:.2e}"
+    return worst_overall < tol, summary, {**worst, "tol": tol}
 
 
 def run_checks(

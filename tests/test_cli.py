@@ -124,6 +124,16 @@ class TestMinimize:
         again = run_json(capsys, "minimize", "--spec", str(spec_path))
         assert again["packet"] == doc["packet"]
 
+    @pytest.mark.parametrize("field, value", [("lambda", True), ("L_i_abs", "0.3"), ("omega", None)])
+    def test_spec_file_values_must_be_real_numbers(self, capsys, tmp_path, field, value):
+        doc = run_json(capsys, "minimize", "--Li", "0.3", "--Lc", "0.8")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"spec": dict(doc["spec"], **{field: value})}))
+        for command in (["minimize"], ["describe"], ["evolve", "--kind", "free", "--t", "1"]):
+            code, out, err = run_cli(capsys, *command, "--spec", str(spec_path))
+            assert code == 1 and out == ""
+            assert "must be a real number" in err
+
     def test_describe_agrees_with_minimize(self, capsys, tmp_path):
         doc = run_json(capsys, "minimize", "--Li", "0.7", "--Lc", "0.2", "--co")
         packet = tmp_path / "packet.json"
@@ -317,6 +327,16 @@ class TestEvolve:
 
 
 class TestVerify:
+    def test_checks_are_registered_named_and_timed(self):
+        assert list(verify.CHECKS) == [
+            "minimum", "moments", "invariants", "drift", "subpoisson", "fock",
+            "magnetic", "free", "propagators", "squeezing", "identities",
+        ]
+        result = verify.CHECKS["invariants"]()
+        assert result.name == "invariants" and result.passed
+        assert result.duration > 0.0
+        assert result.line.startswith("PASS invariants:")
+
     def test_single_check_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--checks", "subpoisson")
         assert code == 0

@@ -58,6 +58,8 @@ class TestContext:
         assert EvolutionContext.from_dict(data) == ctx
         with pytest.raises(InvalidParameterError):
             EvolutionContext.from_dict({"omega": 1.0})
+        with pytest.raises(InvalidParameterError, match="missing context fields: M, omega, omega_L"):
+            EvolutionContext.from_dict({"kind": "free"})
         with pytest.raises(InvalidParameterError):
             EvolutionContext.from_dict({"kind": "free", "spin": 2})
 

@@ -27,6 +27,27 @@ class TestModes:
         with pytest.raises(InvalidParameterError):
             LGMode(n_r=0, m=0, mu=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_r": 0, "m": 0, "mu": math.nan},
+            {"n_r": 0, "m": 0, "mu": "1"},
+            {"n_r": 0, "m": math.inf, "mu": 1.0},
+            {"n_r": True, "m": 0, "mu": 1.0},
+            {"n_r": 0.5, "m": 0, "mu": 1.0},
+        ],
+    )
+    def test_rejects_non_finite_non_real_and_non_integer(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            LGMode(**kwargs)
+        with pytest.raises(InvalidParameterError):
+            lg_mode_eval(kwargs["n_r"], kwargs["m"], kwargs["mu"], 0.3, -0.2)
+
+    def test_integer_valued_indices_are_stored_as_int(self):
+        mode = LGMode(n_r=1.0, m=np.float64(-2.0), mu=1)
+        assert type(mode.n_r) is int and type(mode.m) is int and type(mode.mu) is float
+        assert mode(0.4, 0.7) == lg_mode_eval(1, -2, 1.0, 0.4, 0.7)
+
     def test_energy_ladder(self):
         assert LGMode(0, 0, 1.0).energy(2.0) == pytest.approx(2.0 * HBAR)
         assert LGMode(1, -3, 1.0).energy(2.0) == pytest.approx(2.0 * HBAR * 6)

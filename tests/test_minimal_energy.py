@@ -79,6 +79,24 @@ class TestConstruction:
         assert split.internal == pytest.approx(ref.internal, rel=1e-12)
         assert split.center == pytest.approx(ref.center, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1.0", True])
+    def test_internal_energy_rejects_non_real_arguments(self, bad):
+        with pytest.raises(InvalidParameterError, match="rho"):
+            gp.internal_energy(1.0, 0.0, 1.0, 0.0, 0.0, bad)
+        with pytest.raises(InvalidParameterError, match="omega"):
+            gp.internal_energy(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, omega=bad)
+
+    def test_energy_split_rejects_non_finite_frequency_and_returns_floats(self):
+        spec = MinPacketSpec(l_i_abs=0.6, l_c_abs=1.4, sign_i=1, sign_c=-1, u=1.0, v=0.4)
+        state = gp.min_packet_state(spec)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match="omega"):
+                gp.energy_split(state, omega=bad)
+            with pytest.raises(InvalidParameterError, match="mass"):
+                gp.energy_split(state, omega=1.0, mass=bad)
+        split = gp.energy_split(state, omega=spec.omega, mass=spec.mass)
+        assert type(split.center) is float and type(split.internal) is float
+
     def test_vacuum_energy(self):
         spec = MinPacketSpec(l_i_abs=0.0, omega=2.5)
         assert gp.mean_energy(spec).total == pytest.approx(HBAR * 2.5)
@@ -144,3 +162,9 @@ class TestMinimumSearch:
             gp.verify_minimum(-1.0)
         with pytest.raises(InvalidParameterError):
             gp.verify_minimum(1.0, omega=-2.0)
+
+    def test_rejects_non_finite_arguments_before_searching(self):
+        with pytest.raises(InvalidParameterError, match="l_i_abs"):
+            gp.verify_minimum(math.nan)
+        with pytest.raises(InvalidParameterError, match="omega"):
+            gp.verify_minimum(1.0, omega=math.nan)

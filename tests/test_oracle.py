@@ -171,14 +171,23 @@ class TestQuadrature:
                                (-3.0, 3.0, -3.0, 3.0))
 
     def test_bad_box_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             integrate_adaptive(lambda x, y: x, (1.0, 1.0, 0.0, 1.0))
+        with pytest.raises(InvalidParameterError):
+            integrate_adaptive(lambda x, y: x, (0.0, math.nan, 0.0, 1.0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(order=8, refined_order=8)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"order": 1}, {"order": 8, "refined_order": 8}, {"abs_tol": math.nan}]
+    )
+    def test_spec_errors_are_invalid_parameter_errors(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            QuadratureSpec(**kwargs)
 
 
 class TestObservableAlgebra:

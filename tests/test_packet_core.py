@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -5,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gausspack as gp
-from gausspack import HBAR, InvalidParameterError, RealParams
+from gausspack import (
+    HBAR,
+    EvolutionContext,
+    InvalidParameterError,
+    LGMode,
+    MinPacketSpec,
+    RealParams,
+)
 from gausspack.verify import random_params
 
 
@@ -58,6 +67,57 @@ class TestRealParams:
         assert p.quad_c == pytest.approx(p.gamma / 2 + 1j * p.chi_c)
         assert p.lin_f == pytest.approx(p.f1 + 1j * p.f2)
         assert p.lin_g == pytest.approx(p.g1 + 1j * p.g2)
+
+
+# Each record has an integer-valued float field, so NumPy ints are tried too.
+RECORDS = [
+    dataclasses.replace(sample_params(), mu=2.0),
+    MinPacketSpec(l_i_abs=0.3, l_c_abs=1.1, sign_i=-1, sign_c=1, u=0.2, v=0.9, omega=2.0, mass=0.5),
+    EvolutionContext(kind="magnetic", omega=0.4, omega_larmor=-0.9, mass=2.0),
+    LGMode(n_r=2, m=-3, mu=2.0),
+]
+
+
+def numeric_fields(record):
+    return [f.name for f in dataclasses.fields(record) if f.type in ("float", "int")]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.record_name)
+class TestRecordPolicy:
+    """One validation and JSON rule for packets, specs, contexts and modes."""
+
+    @pytest.mark.parametrize("bad", [True, "1.0", None, math.nan, math.inf, -math.inf])
+    def test_rejects_non_real_field_values(self, record, bad):
+        for name in numeric_fields(record):
+            with pytest.raises(InvalidParameterError, match=name):
+                dataclasses.replace(record, **{name: bad})
+
+    def test_accepts_numpy_scalars(self, record):
+        for name in numeric_fields(record):
+            value = getattr(record, name)
+            scalars = [np.float64(value)]
+            if float(value).is_integer():
+                scalars.append(np.int64(value))
+            for scalar in scalars:
+                again = dataclasses.replace(record, **{name: scalar})
+                assert again == record
+                assert type(getattr(again, name)) is type(value)
+
+    def test_json_round_trip(self, record):
+        text = json.dumps(record.to_dict(), allow_nan=False)
+        assert type(record).from_dict(json.loads(text)) == record
+
+    def test_from_dict_needs_exactly_the_keys_of_a_mapping(self, record):
+        cls, data = type(record), record.to_dict()
+        for key in data:
+            partial = {k: v for k, v in data.items() if k != key}
+            with pytest.raises(InvalidParameterError, match=f"missing {record.record_name} fields"):
+                cls.from_dict(partial)
+        with pytest.raises(InvalidParameterError, match=f"unknown {record.record_name} fields"):
+            cls.from_dict(dict(data, bogus=1.0))
+        for not_a_mapping in (list(data.items()), "{}", None, 3.0):
+            with pytest.raises(InvalidParameterError, match=f"{record.record_name} must be"):
+                cls.from_dict(not_a_mapping)
 
 
 @st.composite
@@ -202,3 +262,8 @@ class TestEllipse:
     def test_nu_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             gp.ellipse(sample_params(), nu=0.0)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, "1.0", True])
+    def test_nu_must_be_a_finite_real(self, nu):
+        with pytest.raises(InvalidParameterError, match="nu"):
+            gp.ellipse(sample_params(), nu=nu)
