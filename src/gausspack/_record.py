@@ -27,12 +27,15 @@ __all__ = ["Record", "real", "integer"]
 def real(value: Any, name: str) -> float:
     """``value`` as a finite float; ``name`` labels the error."""
     if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
-        try:
+        if isinstance(value, float):  # np.float64 and other subclasses, without the ABC check
             value = float(value)
-        except OverflowError:  # an int beyond the float range
-            raise InvalidParameterError(f"{name} must be finite, got {value!r}") from None
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+        else:
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                raise InvalidParameterError(f"{name} must be finite, got {value!r}") from None
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return value

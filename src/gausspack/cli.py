@@ -624,7 +624,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="truncation: stop once the missing probability is below this")
     cap = expand.add_mutually_exclusive_group()
     cap.add_argument("--max-terms", type=int, default=10_000,
-                     help="hard cap on stored coefficients (default 10000)")
+                     help="hard cap on stored coefficients; for counter-rotating "
+                          "packets, on cells of the (n_r, m) grid (default 10000)")
     cap.add_argument("--kmax", type=int, default=None,
                      help="keep ladder indices up to this value inclusive "
                           "(same as --max-terms KMAX+1)")

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ._record import Record
+from ._record import Record, real
 from .constants import HBAR, MASS
 from .errors import InvalidParameterError
 from .minimal import MinPacketSpec
@@ -190,6 +190,7 @@ def evolve_free(params: RealParams, t: float, mass: float = MASS) -> FreeEvoluti
     momenta are conserved.  The discriminant shrinks exactly by
     ``|g|^2``, which is returned as ``f_tau``.
     """
+    t, mass = real(t, "t"), real(mass, "mass")
     if mass <= 0:
         raise InvalidParameterError(f"mass must be positive, got {mass}")
     mu = params.mu

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._record import real
 from .constants import HBAR, MASS
 from .errors import ConsistencyError, InvalidParameterError
 from .evolution import EvolutionContext, _matched_frequency, magnetic_energy
@@ -59,6 +60,7 @@ def angular_momentum_matrix() -> np.ndarray:
 
 def oscillator_matrix(omega: float, mass: float = MASS) -> np.ndarray:
     """Symmetric matrix B of the isotropic oscillator Hamiltonian."""
+    omega, mass = real(omega, "omega"), real(mass, "mass")
     if omega <= 0 or mass <= 0:
         raise InvalidParameterError("omega and mass must be positive")
     return np.diag(
@@ -230,9 +232,9 @@ def subpoisson_optimum(l_i_abs: float) -> SubPoissonOptimum:
     and the eccentricity is ``sqrt(2 eta / (1 + eta))`` with
     ``eta = sqrt(l/(1+l))``.
     """
-    if l_i_abs < 0:
+    l = real(l_i_abs, "l_i_abs")
+    if l < 0:
         raise InvalidParameterError(f"l_i_abs must be >= 0, got {l_i_abs}")
-    l = float(l_i_abs)
     s = math.sqrt(l * (1.0 + l))
     l_total = s * (1.0 + 8.0 * l + 8.0 * l * l) + 5.0 * l + 12.0 * l * l + 8.0 * l**3
     sigma = 4.0 * l * (1.0 + l) + (1.0 + 2.0 * l) * s

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, real
 from .constants import HBAR
 from .errors import InvalidParameterError
 from .minimal import MinPacketSpec
-from .special import hermite_scaled, hermite_zero_log, log_factorial
+from .special import hermite_scaled, log_factorial
 
 __all__ = [
     "LGMode",
@@ -169,6 +170,7 @@ def coherent_coeffs(
     ``c[0, sign_c k] = l_c^(k/2)/sqrt(k!) exp(-l_c/2) exp(-i k sign_c v)``.
     """
     _truncation(tail, max_terms)
+    l_c_abs = real(l_c_abs, "l_c_abs")
     if l_c_abs < 0:
         raise InvalidParameterError(f"l_c_abs must be >= 0, got {l_c_abs}")
     if sign_c not in (-1, 1):
@@ -202,6 +204,7 @@ def squeezed_coeffs(
     exp(-i k sign_i u)``.
     """
     _truncation(tail, max_terms)
+    l_i_abs = real(l_i_abs, "l_i_abs")
     if l_i_abs < 0:
         raise InvalidParameterError(f"l_i_abs must be >= 0, got {l_i_abs}")
     if sign_i not in (-1, 1):
@@ -287,6 +290,28 @@ def corotating_coeffs(
     return FockCoefficients(kind="corotating", coeffs=coeffs, residual=1.0 - total)
 
 
+#: Grid rows of the antirotating ladder computed per block, which bounds the
+#: size of the temporary arrays and lists.
+_ROW_BLOCK = 16
+
+#: Probabilities below this are summed in floating point before the exact
+#: sum of the rest: even 2**50 of them stay under 2**-60, below half an ulp
+#: of a total near one.
+_NEGLIGIBLE = 2.0**-110
+
+
+def _total_probability(probabilities: np.ndarray) -> float:
+    """Sum of a ladder's probabilities, correctly rounded in practice.
+
+    :func:`math.fsum` slows down as the dynamic range of its inputs grows,
+    and most cells of a wide ladder hold probabilities many orders of
+    magnitude below any that can change a total near one.  Those are
+    pre-summed in one float, so only the rest go through ``fsum``.
+    """
+    small = probabilities < _NEGLIGIBLE
+    return math.fsum([*probabilities[~small].tolist(), float(probabilities[small].sum())])
+
+
 def antirotating_coeffs(
     spec: MinPacketSpec, tail: float = 1e-12, max_terms: int = 10_000
 ) -> FockCoefficients:
@@ -303,6 +328,16 @@ def antirotating_coeffs(
 
     so only terms with ``m + n`` even (for m >= 0) or n even (for m < 0)
     survive.
+
+    The ladder is filled on a grid ``0 <= n <= n_max``, ``|m| <= m_span``
+    that starts at ``n_max = m_span = 16`` and doubles both until the stored
+    probability is within ``tail`` of one or the grid has at least
+    ``max_terms`` cells.  ``max_terms`` therefore counts grid cells, of
+    which about half vanish, not stored terms.  Each grid is computed as
+    arrays, a block of rows at a time: log-magnitudes from a table of log
+    factorials on the cells whose Hermite index is even, then the phases.
+    Terms whose magnitude underflows to zero are not stored.  Keys are
+    ``(n, lam * m)`` in the order of n, then of m from ``-m_span`` up.
     """
     _truncation(tail, max_terms)
     if spec.l_i_abs > 0 and spec.l_c_abs > 0 and spec.sign_i != -spec.sign_c:
@@ -313,57 +348,63 @@ def antirotating_coeffs(
     eta = spec.eta
     l_c = spec.l_c_abs
     w = lam * (spec.v - 0.5 * spec.u)
+    # Per-cell log-magnitude and phase, in the order of the formula above:
+    # log_mag = log_pref + n log_b1 - (log n! + log (n+|m|)!)/2
+    #           + |m| log_m/2 + log |H_k(0)|
+    # phase = phi + n (pi + w) + m dphase_m.
+    log_pref = 0.25 * math.log(1.0 - eta**2) - 0.5 * l_c
     phi = 0.5 * l_c * eta * math.sin(2.0 * w)
-    log_quart = 0.25 * math.log(1.0 - eta**2)
-    log_b1 = 0.5 * (math.log(l_c * eta / 2.0)) if l_c * eta > 0 else -math.inf
-
-    def coefficient(n: int, m: int) -> complex:
-        # Winding index is lam * m; n is the radial index.
-        if m >= 0:
-            sign_h, log_h = hermite_zero_log(m + n)
-            if sign_h == 0 or (eta == 0.0 and m > 0):
-                return 0.0
-            log_mag = (
-                log_quart
-                - 0.5 * l_c
-                + (n * log_b1 if n else 0.0)
-                - 0.5 * (log_factorial(n) + log_factorial(n + m))
-                + (0.5 * m * math.log(eta / 2.0) if m else 0.0)
-                + log_h
-            )
-            phase = phi + n * (math.pi + w) - 0.5 * lam * spec.u * m
-        else:
-            sign_h, log_h = hermite_zero_log(n)
-            if sign_h == 0 or (l_c == 0.0 and m < 0):
-                return 0.0
-            m_abs = -m
-            log_mag = (
-                log_quart
-                - 0.5 * l_c
-                + (n * log_b1 if n else 0.0)
-                - 0.5 * (log_factorial(n) + log_factorial(n + m_abs))
-                + 0.5 * m_abs * math.log(l_c)
-                + log_h
-            )
-            phase = phi + n * (math.pi + w) + lam * m_abs * spec.v
-        if log_mag == -math.inf:
-            return 0.0
-        return sign_h * math.exp(log_mag) * cmath.exp(1j * phase)
+    # A zero B1 leaves only the n = 0 row, a zero eta only m <= 0, and a
+    # zero l_c only m >= 0; the logs of those zeros are then never used.
+    log_b1 = 0.5 * math.log(l_c * eta / 2.0) if l_c * eta > 0 else 0.0
+    log_m_pos = math.log(eta / 2.0) if eta > 0 else 0.0
+    log_m_neg = math.log(l_c) if l_c > 0 else 0.0
+    dphase_pos = -(0.5 * lam * spec.u)
+    dphase_neg = -lam * spec.v
 
     n_max, m_span = 16, 16
-    coeffs: Dict[Tuple[int, int], complex] = {}
     while True:
-        coeffs.clear()
-        for n in range(n_max + 1):
-            for m in range(-m_span, m_span + 1):
-                c = coefficient(n, m)
-                if c != 0.0:
-                    coeffs[(n, lam * m)] = c
-        total = math.fsum(abs(c) ** 2 for c in coeffs.values())
+        log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + m_span + 1)])
+        windings = np.arange(-m_span, m_span + 1)
+        if eta == 0.0:
+            windings = windings[windings <= 0]
+        if l_c == 0.0:
+            windings = windings[windings >= 0]
+        rows = n_max + 1 if l_c * eta > 0 else 1
+        blocks: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque()
+        for first in range(0, rows, _ROW_BLOCK):
+            n_block = np.arange(first, min(first + _ROW_BLOCK, rows))[:, None]
+            hermite = np.where(windings >= 0, n_block + windings, n_block)
+            n_idx, m_idx = np.nonzero(hermite % 2 == 0)
+            n, m, k = n_block[n_idx, 0], windings[m_idx], hermite[n_idx, m_idx]
+            m_abs = np.abs(m)
+            positive = m >= 0
+            log_mag = (
+                log_pref
+                + n * log_b1
+                - 0.5 * (log_fact[n] + log_fact[n + m_abs])
+                + 0.5 * m_abs * np.where(positive, log_m_pos, log_m_neg)
+                + (log_fact[k] - log_fact[k // 2])
+            )
+            amp = np.exp(log_mag)
+            amp[(k // 2) % 2 == 1] *= -1.0
+            kept = amp != 0.0
+            n, m, amp, positive = n[kept], m[kept], amp[kept], positive[kept]
+            phase = phi + n * (math.pi + w) + m * np.where(positive, dphase_pos, dphase_neg)
+            c = np.empty(amp.shape, dtype=complex)
+            c.real = amp * np.cos(phase)
+            c.imag = amp * np.sin(phase)
+            blocks.append((n, lam * m, c))
+        total = _total_probability(np.concatenate([np.abs(c) ** 2 for _, _, c in blocks]))
         if 1.0 - total < tail or (n_max + 1) * (2 * m_span + 1) >= max_terms:
             break
         n_max *= 2
         m_span *= 2
+    # Only the last grid becomes a dict, one block at a time.
+    coeffs: Dict[Tuple[int, int], complex] = {}
+    while blocks:
+        n, m, c = blocks.popleft()
+        coeffs.update(zip(zip(n.tolist(), m.tolist()), c.tolist()))
     return FockCoefficients(kind="antirotating", coeffs=coeffs, residual=1.0 - total)
 
 

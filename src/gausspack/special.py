@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 __all__ = [
     "hermite_scaled",
     "hermite_zero",
@@ -26,7 +28,7 @@ __all__ = [
 def log_factorial(n: int) -> float:
     """Natural log of ``n!`` for non-negative integer ``n``."""
     if n < 0:
-        raise ValueError(f"factorial undefined for n={n}")
+        raise InvalidParameterError(f"factorial undefined for n={n}")
     return math.lgamma(n + 1)
 
 
@@ -42,7 +44,7 @@ def hermite_scaled(nmax: int, z: complex) -> np.ndarray:
     rescaling, and keeps intermediate values bounded for moderate ``|z|``.
     """
     if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
+        raise InvalidParameterError(f"nmax must be >= 0, got {nmax}")
     out = np.empty(nmax + 1, dtype=complex)
     out[0] = 1.0
     if nmax == 0:
@@ -63,7 +65,7 @@ def hermite_zero(k: int) -> float:
     conversion; for indices beyond float range use ``hermite_zero_log``.
     """
     if k < 0:
-        raise ValueError(f"index must be >= 0, got {k}")
+        raise InvalidParameterError(f"index must be >= 0, got {k}")
     if k % 2:
         return 0.0
     j = k // 2
@@ -78,7 +80,7 @@ def hermite_zero_log(k: int) -> tuple[int, float]:
     without special-casing.
     """
     if k < 0:
-        raise ValueError(f"index must be >= 0, got {k}")
+        raise InvalidParameterError(f"index must be >= 0, got {k}")
     if k % 2:
         return 0, -math.inf
     j = k // 2
@@ -101,7 +103,7 @@ def laguerre_assoc_all(nmax: int, m: float, x) -> np.ndarray:
     Returns an array of shape ``(nmax + 1,) + shape(x)``.
     """
     if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
+        raise InvalidParameterError(f"nmax must be >= 0, got {nmax}")
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1,) + x.shape, dtype=float)
     out[0] = 1.0

@@ -209,6 +209,14 @@ class TestFree:
             evolve_free(params, t)
 
 
+    @pytest.mark.parametrize("t, mass, name", [(math.nan, 1.0, "t"), (1.0, math.nan, "mass"),
+                                               (math.inf, 1.0, "t")])
+    def test_non_finite_argument_is_named(self, t, mass, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name} ") as info:
+            evolve_free(symmetric_params(), t, mass=mass)
+        assert "overflows" not in str(info.value)
+
+
 class TestShrink:
     def test_requires_symmetric_form(self):
         bad = RealParams(mu=1.0, alpha=1.0, beta=0.0, gamma=2.0, chi_a=0.0, chi_c=0.0, rho=0.0)

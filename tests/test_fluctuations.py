@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gausspack as gp
-from gausspack import HBAR, ConsistencyError, EvolutionContext, MinPacketSpec
+from gausspack import HBAR, ConsistencyError, EvolutionContext, InvalidParameterError, MinPacketSpec
 from gausspack.fluctuations import (
     angular_momentum_matrix,
     oscillator_matrix,
@@ -180,3 +180,15 @@ class TestSubPoisson:
         lone = MinPacketSpec(l_i_abs=0.0, l_c_abs=2.0)
         lone_report = gp.variance_report(lone)
         assert not lone_report.subpoissonian
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, np.float64(math.nan)])
+    def test_subpoisson_optimum_refuses(self, value):
+        with pytest.raises(InvalidParameterError, match="l_i_abs"):
+            gp.subpoisson_optimum(value)
+
+    @pytest.mark.parametrize("omega, mass", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_oscillator_matrix_refuses(self, omega, mass):
+        with pytest.raises(InvalidParameterError, match="omega|mass"):
+            oscillator_matrix(omega, mass)

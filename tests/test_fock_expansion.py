@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from gausspack.fock import (
 )
 from gausspack.oracle.overlap import overlap_integral
 from gausspack.oracle.quadrature import QuadratureSpec, integrate_adaptive
+from gausspack.special import hermite_zero_log, log_factorial
 
 
 class TestModes:
@@ -151,6 +153,12 @@ class TestCoefficientFamilies:
         with pytest.raises(InvalidParameterError):
             corotating_coeffs(anti)
 
+    @pytest.mark.parametrize("family", [coherent_coeffs, squeezed_coeffs])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, np.float64(math.nan)])
+    def test_centered_and_circular_ladders_refuse_non_finite(self, family, value):
+        with pytest.raises(InvalidParameterError, match="_abs"):
+            family(value)
+
     def test_truncation_validation(self):
         spec = MinPacketSpec(l_i_abs=0.5, l_c_abs=0.9, sign_i=1, sign_c=1)
         with pytest.raises(InvalidParameterError):
@@ -232,3 +240,139 @@ class TestAsymptotics:
             pk_asymptotic(0.0, 0.0, 5)
         with pytest.raises(InvalidParameterError):
             pk_asymptotic(1.0, 1.0, -1)
+
+
+def reference_antirotating(spec: MinPacketSpec, tail: float = 1e-12,
+                           max_terms: int = 10_000) -> tuple[dict, float]:
+    """The antirotating ladder computed one element at a time.
+
+    The scalar form of the formula in ``antirotating_coeffs``, with the same
+    grid doubling and stopping rule: ``(coeffs, residual)``.
+    """
+    lam = spec.sign_i if spec.l_i_abs > 0 else -spec.sign_c
+    eta = spec.eta
+    l_c = spec.l_c_abs
+    w = lam * (spec.v - 0.5 * spec.u)
+    phi = 0.5 * l_c * eta * math.sin(2.0 * w)
+    log_quart = 0.25 * math.log(1.0 - eta**2)
+    log_b1 = 0.5 * (math.log(l_c * eta / 2.0)) if l_c * eta > 0 else -math.inf
+
+    def coefficient(n: int, m: int) -> complex:
+        if m >= 0:
+            sign_h, log_h = hermite_zero_log(m + n)
+            if sign_h == 0 or (eta == 0.0 and m > 0):
+                return 0.0
+            log_mag = (
+                log_quart
+                - 0.5 * l_c
+                + (n * log_b1 if n else 0.0)
+                - 0.5 * (log_factorial(n) + log_factorial(n + m))
+                + (0.5 * m * math.log(eta / 2.0) if m else 0.0)
+                + log_h
+            )
+            phase = phi + n * (math.pi + w) - 0.5 * lam * spec.u * m
+        else:
+            sign_h, log_h = hermite_zero_log(n)
+            if sign_h == 0 or (l_c == 0.0 and m < 0):
+                return 0.0
+            m_abs = -m
+            log_mag = (
+                log_quart
+                - 0.5 * l_c
+                + (n * log_b1 if n else 0.0)
+                - 0.5 * (log_factorial(n) + log_factorial(n + m_abs))
+                + 0.5 * m_abs * math.log(l_c)
+                + log_h
+            )
+            phase = phi + n * (math.pi + w) + lam * m_abs * spec.v
+        if log_mag == -math.inf:
+            return 0.0
+        return sign_h * math.exp(log_mag) * cmath.exp(1j * phase)
+
+    n_max, m_span = 16, 16
+    while True:
+        coeffs = {}
+        for n in range(n_max + 1):
+            for m in range(-m_span, m_span + 1):
+                c = coefficient(n, m)
+                if c != 0.0:
+                    coeffs[(n, lam * m)] = c
+        total = math.fsum(abs(c) ** 2 for c in coeffs.values())
+        if 1.0 - total < tail or (n_max + 1) * (2 * m_span + 1) >= max_terms:
+            return coeffs, 1.0 - total
+        n_max *= 2
+        m_span *= 2
+
+
+def anti_spec(l_i, l_c, sign_i=1, u=0.7, v=2.1):
+    return MinPacketSpec(l_i_abs=l_i, l_c_abs=l_c, sign_i=sign_i, sign_c=-sign_i, u=u, v=v)
+
+
+#: (l_i, l_c, u, v, sign_i) of the five closed-forms benchmark strata.
+BENCH_STRATA = (
+    (1.0, 1.5, 0.3, 1.1, 1),
+    (0.125, 1.5, 2.2, 0.4, -1),
+    (1.3, 2.0, 4.0, 2.9, -1),
+    (0.4, 0.8, 1.5, 5.2, 1),
+    (0.9, 0.5, 5.5, 3.3, 1),
+)
+
+
+class TestAntirotatingEngine:
+    """The array engine reproduces the per-element formula cell for cell."""
+
+    @staticmethod
+    def assert_same_ladder(spec, tail=1e-12, max_terms=10_000):
+        fc = antirotating_coeffs(spec, tail=tail, max_terms=max_terms)
+        ref, ref_residual = reference_antirotating(spec, tail, max_terms)
+        assert list(fc.coeffs) == list(ref)
+        for key, c in fc.coeffs.items():
+            assert abs(c - ref[key]) <= 1e-15 * abs(ref[key]), key
+        assert abs(fc.residual - ref_residual) <= 4.4e-16
+        return fc
+
+    @pytest.mark.parametrize("l_i, l_c, u, v, sign_i", BENCH_STRATA)
+    def test_benchmark_strata(self, l_i, l_c, u, v, sign_i):
+        self.assert_same_ladder(anti_spec(l_i, l_c, sign_i, u, v), tail=1e-14)
+
+    @pytest.mark.parametrize("l_i", [0.21, 0.69])
+    @pytest.mark.parametrize("sign_i", [1, -1])
+    def test_both_senses(self, l_i, sign_i):
+        fc = self.assert_same_ladder(anti_spec(l_i, 1.5, sign_i), tail=1e-14)
+        mean_l, _ = fc.angular_momentum_stats()
+        assert mean_l == pytest.approx(HBAR * sign_i * (l_i - 1.5), abs=1e-11)
+
+    def test_capped_ladder_keeps_its_residual(self):
+        # The 10,000-cell cap stops this ladder short of the tail; the
+        # shortfall is reported in the residual, not raised.
+        fc = self.assert_same_ladder(anti_spec(2.0, 0.5), tail=1e-14)
+        assert fc.residual > 1e-14
+        assert len(fc.coeffs) == 16_641
+
+    def test_wide_ladders(self):
+        self.assert_same_ladder(anti_spec(0.01, 400.0), max_terms=40_000)
+        self.assert_same_ladder(anti_spec(20.0, 20.0))
+
+    def test_underflowing_cells_are_not_stored(self):
+        # With l_c = 1e-8 the factor l_c^(n/2) sends most of the 128-row grid
+        # below the smallest double, down to subnormal magnitudes.
+        fc = self.assert_same_ladder(anti_spec(1.0, 1e-8), tail=1e-14)
+        assert len(fc.coeffs) < 16_641 // 2
+        assert min(abs(c) for c in fc.coeffs.values()) < 1e-300
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MinPacketSpec(l_i_abs=0.0, l_c_abs=1.3, sign_c=-1, v=0.4),
+            MinPacketSpec(l_i_abs=0.0, l_c_abs=1.3, sign_c=1, v=0.4),
+            MinPacketSpec(l_i_abs=0.7, l_c_abs=0.0, sign_i=-1, u=1.9),
+            MinPacketSpec(l_i_abs=0.0, l_c_abs=0.0),
+        ],
+    )
+    def test_unrotated_and_centered_limits(self, spec):
+        fc = self.assert_same_ladder(spec, tail=1e-14)
+        assert fc.residual < 1e-14
+
+    def test_single_cell_budget_stops_after_the_first_grid(self):
+        fc = self.assert_same_ladder(anti_spec(0.6, 1.1), max_terms=1)
+        assert max(n for n, _ in fc.coeffs) == 16

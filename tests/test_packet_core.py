@@ -15,6 +15,7 @@ from gausspack import (
     MinPacketSpec,
     RealParams,
 )
+from gausspack._record import real
 from gausspack.verify import random_params
 
 
@@ -69,6 +70,21 @@ class TestRealParams:
         assert p.lin_g == pytest.approx(p.g1 + 1j * p.g2)
 
 
+class TestReal:
+    """The one real-number rule behind every record field."""
+
+    @pytest.mark.parametrize("value", [np.float64(0.25), np.float32(0.25), 0.25, 1, np.int64(1)])
+    def test_stores_exactly_a_float(self, value):
+        number = real(value, "x")
+        assert type(number) is float and number == float(value)
+
+    @pytest.mark.parametrize("bad", [np.float64(np.nan), np.float64(np.inf), np.float64(-np.inf),
+                                     True, np.bool_(True), "0.5", None, 1j, 10**400])
+    def test_refuses(self, bad):
+        with pytest.raises(InvalidParameterError, match="^x must be"):
+            real(bad, "x")
+
+
 # Each record has an integer-valued float field, so NumPy ints are tried too.
 RECORDS = [
     dataclasses.replace(sample_params(), mu=2.0),
@@ -102,6 +118,12 @@ class TestRecordPolicy:
                 again = dataclasses.replace(record, **{name: scalar})
                 assert again == record
                 assert type(getattr(again, name)) is type(value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_numpy_floats(self, record, bad):
+        for name in numeric_fields(record):
+            with pytest.raises(InvalidParameterError, match=name):
+                dataclasses.replace(record, **{name: np.float64(bad)})
 
     def test_json_round_trip(self, record):
         text = json.dumps(record.to_dict(), allow_nan=False)

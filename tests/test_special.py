@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import eval_genlaguerre, eval_hermite
 
+from gausspack import InvalidParameterError
 from gausspack.special import (
     hermite_scaled,
     hermite_zero,
@@ -76,3 +77,20 @@ def test_laguerre_assoc_all_vectorized():
     assert table.shape == (6, 7)
     for n in range(6):
         np.testing.assert_allclose(table[n], eval_genlaguerre(n, 2, xs), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: log_factorial(-1),
+        lambda: hermite_scaled(-1, 0.5),
+        lambda: hermite_zero(-1),
+        lambda: hermite_zero_log(-1),
+        lambda: laguerre_assoc_all(-1, 0.0, 0.5),
+    ],
+    ids=["log_factorial", "hermite_scaled", "hermite_zero", "hermite_zero_log",
+         "laguerre_assoc_all"],
+)
+def test_negative_index_is_an_invalid_parameter(call):
+    with pytest.raises(InvalidParameterError):
+        call()
