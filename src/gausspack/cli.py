@@ -369,12 +369,7 @@ def _cmd_fluct(args: argparse.Namespace) -> int:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    max_terms = args.max_terms
-    if args.kmax is not None:
-        if args.kmax < 0:
-            raise InvalidParameterError("--kmax must be >= 0")
-        max_terms = args.kmax + 1
-    expansion = fock_coefficients(spec, tail=args.tail, max_terms=max_terms)
+    expansion = fock_coefficients(spec, tail=args.tail, max_terms=args.max_terms)
     ranked = sorted(expansion.items(), key=lambda kv: (-abs(kv[1]) ** 2, kv[0]))
     if args.limit is not None:
         ranked = ranked[: args.limit]
@@ -622,13 +617,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_options(expand)
     expand.add_argument("--tail", type=float, default=1e-12,
                         help="truncation: stop once the missing probability is below this")
-    cap = expand.add_mutually_exclusive_group()
-    cap.add_argument("--max-terms", type=int, default=10_000,
-                     help="hard cap on stored coefficients; for counter-rotating "
-                          "packets, on cells of the (n_r, m) grid (default 10000)")
-    cap.add_argument("--kmax", type=int, default=None,
-                     help="keep ladder indices up to this value inclusive "
-                          "(same as --max-terms KMAX+1)")
+    expand.add_argument("--max-terms", type=int, default=10_000,
+                        help="co-rotating packets: cap on stored coefficients; all "
+                             "others: budget of computed cells of the (n_r, m) grid, "
+                             "checked after each doubling (default 10000)")
     expand.add_argument("--limit", type=int, default=None,
                         help="print only the N most probable coefficients")
     expand.add_argument("--format", choices=("json", "csv"), default="json")

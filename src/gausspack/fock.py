@@ -8,9 +8,10 @@ depending on whether the center orbits with or against the internal
 rotation: co-rotating packets populate a single radial quantum number
 through Hermite polynomials of a complex argument, while counter-rotating
 packets spread over both quantum numbers.  This module implements the mode
-functions, all four coefficient families (the circular-coherent and
-centered-deformed cases are limits of the other two), the probability
-generating function, and summary statistics derived from the expansion.
+functions, all four coefficient families (the circular-coherent, centered-
+deformed and vacuum cases are single rows of the counter-rotating lattice,
+which computes them), the probability generating function, and summary
+statistics derived from the expansion.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, Tuple
 
 import numpy as np
 
-from ._record import Record, real
+from ._record import Record
 from .constants import HBAR
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ToleranceError
 from .minimal import MinPacketSpec
 from .special import hermite_scaled, log_factorial
 
@@ -131,23 +133,27 @@ class FockCoefficients:
 
     @property
     def total_probability(self) -> float:
-        return math.fsum(abs(c) ** 2 for c in self.coeffs.values())
+        return self._moments()[0]
 
     def angular_momentum_stats(self) -> tuple[float, float]:
         """Mean (units hbar) and variance (units hbar^2) of angular momentum."""
-        mean = math.fsum(m * abs(c) ** 2 for (_, m), c in self.coeffs.items())
-        second = math.fsum(m * m * abs(c) ** 2 for (_, m), c in self.coeffs.items())
+        _, mean, second = self._moments()
         return HBAR * mean, HBAR**2 * (second - mean**2)
 
     def energy_stats(self, omega: float) -> tuple[float, float]:
         """Mean and variance of the oscillator energy from the mode ladder."""
-        levels = {key: 1 + abs(key[1]) + 2 * key[0] for key in self.coeffs}
-        mean = math.fsum(levels[key] * abs(c) ** 2 for key, c in self.coeffs.items())
-        second = math.fsum(
-            levels[key] ** 2 * abs(c) ** 2 for key, c in self.coeffs.items()
-        )
+        _, mean, second = self._moments(energy=True)
         scale = HBAR * omega
         return scale * mean, scale**2 * (second - mean**2)
+
+    def _moments(self, energy: bool = False) -> tuple[float, float, float]:
+        """Sums of ``p``, ``x p`` and ``x^2 p``: x is m, or with ``energy`` 1 + |m| + 2n."""
+        size = len(self.coeffs)
+        n, m = np.fromiter(chain.from_iterable(self.coeffs), np.int64, 2 * size).reshape(-1, 2).T
+        p = np.abs(np.fromiter(self.coeffs.values(), complex, size)) ** 2
+        x = 1 + np.abs(m) + 2 * n if energy else m
+        small = p < _NEGLIGIBLE
+        return _exact_sum(p, small), _exact_sum(x * p, small), _exact_sum(x * x * p, small)
 
 
 def _truncation(tail: float, max_terms: int) -> None:
@@ -162,32 +168,16 @@ def coherent_coeffs(
     sign_c: int = 1,
     v: float = 0.0,
     tail: float = 1e-12,
-    max_terms: int = 1000,
+    max_terms: int = 10_000,
 ) -> FockCoefficients:
     """Coefficients of an undeformed packet on a circular orbit.
 
     Pure Poissonian ladder in the winding number:
-    ``c[0, sign_c k] = l_c^(k/2)/sqrt(k!) exp(-l_c/2) exp(-i k sign_c v)``.
+    ``c[0, sign_c k] = l_c^(k/2)/sqrt(k!) exp(-l_c/2) exp(-i k sign_c v)``,
+    computed as the single row (eta = 0) of :func:`antirotating_coeffs`.
     """
-    _truncation(tail, max_terms)
-    l_c_abs = real(l_c_abs, "l_c_abs")
-    if l_c_abs < 0:
-        raise InvalidParameterError(f"l_c_abs must be >= 0, got {l_c_abs}")
-    if sign_c not in (-1, 1):
-        raise InvalidParameterError(f"sign_c must be +1 or -1, got {sign_c}")
-    coeffs: Dict[Tuple[int, int], complex] = {}
-    total = 0.0
-    for k in range(max_terms):
-        log_mag = 0.5 * (k * math.log(l_c_abs) if l_c_abs > 0 else (0.0 if k == 0 else -math.inf))
-        log_mag += -0.5 * l_c_abs - 0.5 * log_factorial(k)
-        if log_mag == -math.inf:
-            break
-        c = math.exp(log_mag) * cmath.exp(-1j * k * sign_c * v)
-        coeffs[(0, sign_c * k)] = c
-        total += abs(c) ** 2
-        if 1.0 - total < tail and k >= l_c_abs:
-            break
-    return FockCoefficients(kind="coherent", coeffs=coeffs, residual=1.0 - total)
+    spec = MinPacketSpec(l_i_abs=0.0, l_c_abs=l_c_abs, sign_c=sign_c, v=v)
+    return replace(antirotating_coeffs(spec, tail, max_terms), kind="coherent")
 
 
 def squeezed_coeffs(
@@ -195,45 +185,21 @@ def squeezed_coeffs(
     sign_i: int = 1,
     u: float = 0.0,
     tail: float = 1e-12,
-    max_terms: int = 1000,
+    max_terms: int = 10_000,
 ) -> FockCoefficients:
     """Coefficients of a centered rotating packet (no orbital motion).
 
     Only even windings of one sense appear:
     ``c[0, 2k sign_i] = (-1)^k (1-eta^2)^(1/4) eta^k sqrt((2k)!)/(2^k k!)
-    exp(-i k sign_i u)``.
+    exp(-i k sign_i u)``, computed as the single row (l_c = 0) of
+    :func:`antirotating_coeffs`.
     """
-    _truncation(tail, max_terms)
-    l_i_abs = real(l_i_abs, "l_i_abs")
-    if l_i_abs < 0:
-        raise InvalidParameterError(f"l_i_abs must be >= 0, got {l_i_abs}")
-    if sign_i not in (-1, 1):
-        raise InvalidParameterError(f"sign_i must be +1 or -1, got {sign_i}")
-    eta = math.sqrt(l_i_abs / (1.0 + l_i_abs))
-    log_pref = 0.25 * math.log(1.0 - eta**2)
-    coeffs: Dict[Tuple[int, int], complex] = {}
-    total = 0.0
-    for k in range(max_terms):
-        if eta == 0.0 and k > 0:
-            break
-        log_mag = log_pref
-        if k > 0:
-            log_mag += (
-                k * math.log(eta)
-                + 0.5 * log_factorial(2 * k)
-                - k * math.log(2.0)
-                - log_factorial(k)
-            )
-        c = (-1) ** k * math.exp(log_mag) * cmath.exp(-1j * k * sign_i * u)
-        coeffs[(0, 2 * k * sign_i)] = c
-        total += abs(c) ** 2
-        if 1.0 - total < tail:
-            break
-    return FockCoefficients(kind="squeezed", coeffs=coeffs, residual=1.0 - total)
+    spec = MinPacketSpec(l_i_abs=l_i_abs, sign_i=sign_i, u=u)
+    return replace(antirotating_coeffs(spec, tail, max_terms), kind="squeezed")
 
 
 def corotating_coeffs(
-    spec: MinPacketSpec, tail: float = 1e-12, max_terms: int = 1000
+    spec: MinPacketSpec, tail: float = 1e-12, max_terms: int = 10_000
 ) -> FockCoefficients:
     """Coefficients of a packet whose center orbits with its internal rotation.
 
@@ -243,18 +209,19 @@ def corotating_coeffs(
                        * H_k(B)/sqrt(2^k k!) * exp(-l_c (1 + eta cos 2w)/2)
 
     with the complex Hermite argument
-    ``B = (eta e^(iw) + e^(-iw)) sqrt(l_c / (2 eta))``.  The centered and
-    circular limits reduce to :func:`squeezed_coeffs` and
-    :func:`coherent_coeffs`.
+    ``B = (eta e^(iw) + e^(-iw)) sqrt(l_c / (2 eta))``, stopped once less
+    than ``tail`` is missing or at ``max_terms`` terms; a Hermite value
+    beyond the float range before that raises :class:`ToleranceError`.
+    The centered and circular limits are computed by
+    :func:`antirotating_coeffs`, as single rows.
     """
     _truncation(tail, max_terms)
     if spec.l_i_abs > 0 and spec.l_c_abs > 0 and spec.sign_i != spec.sign_c:
         raise InvalidParameterError(
             "corotating expansion needs matching senses; use antirotating_coeffs"
         )
-    if spec.l_i_abs == 0:
-        out = coherent_coeffs(spec.l_c_abs, spec.sign_c, spec.v, tail, max_terms)
-        return FockCoefficients(kind="corotating", coeffs=out.coeffs, residual=out.residual)
+    if spec.l_i_abs == 0 or spec.l_c_abs == 0:
+        return replace(antirotating_coeffs(spec, tail, max_terms), kind="corotating")
 
     eta = spec.eta
     lam = spec.sign_i
@@ -269,11 +236,17 @@ def corotating_coeffs(
     total = 0.0
     kmax = 64
     while True:
-        kmax = min(kmax, max_terms)
-        hermites = hermite_scaled(kmax, b_arg)
+        kmax = min(kmax, max_terms - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hermites = hermite_scaled(kmax, b_arg)
         coeffs.clear()
         total = 0.0
         for k in range(kmax + 1):
+            if not cmath.isfinite(hermites[k]):
+                raise ToleranceError(
+                    f"corotating ladder: H_k(B)/sqrt(2^k k!) overflows at index {k} "
+                    f"(|B| = {abs(b_arg):.6g}) with {1.0 - total:.3g} of the probability missing"
+                )
             c = (
                 pref
                 * eta ** (0.5 * k)
@@ -284,7 +257,7 @@ def corotating_coeffs(
             total += abs(c) ** 2
             if 1.0 - total < tail and k > 4:
                 break
-        if 1.0 - total < tail or kmax >= max_terms:
+        if 1.0 - total < tail or kmax >= max_terms - 1:
             break
         kmax *= 2
     return FockCoefficients(kind="corotating", coeffs=coeffs, residual=1.0 - total)
@@ -300,16 +273,16 @@ _ROW_BLOCK = 16
 _NEGLIGIBLE = 2.0**-110
 
 
-def _total_probability(probabilities: np.ndarray) -> float:
-    """Sum of a ladder's probabilities, correctly rounded in practice.
+def _exact_sum(terms: np.ndarray, small: np.ndarray) -> float:
+    """Sum of ``terms`` over ladder cells, correctly rounded in practice.
 
     :func:`math.fsum` slows down as the dynamic range of its inputs grows,
     and most cells of a wide ladder hold probabilities many orders of
-    magnitude below any that can change a total near one.  Those are
-    pre-summed in one float, so only the rest go through ``fsum``.
+    magnitude below any that can change a total near one.  The terms of
+    those cells, marked by ``small``, are pre-summed in one float, so only
+    the rest go through ``fsum``.
     """
-    small = probabilities < _NEGLIGIBLE
-    return math.fsum([*probabilities[~small].tolist(), float(probabilities[small].sum())])
+    return math.fsum([*terms[~small].tolist(), float(terms[small].sum())])
 
 
 def antirotating_coeffs(
@@ -332,12 +305,16 @@ def antirotating_coeffs(
     The ladder is filled on a grid ``0 <= n <= n_max``, ``|m| <= m_span``
     that starts at ``n_max = m_span = 16`` and doubles both until the stored
     probability is within ``tail`` of one or the grid has at least
-    ``max_terms`` cells.  ``max_terms`` therefore counts grid cells, of
-    which about half vanish, not stored terms.  Each grid is computed as
-    arrays, a block of rows at a time: log-magnitudes from a table of log
-    factorials on the cells whose Hermite index is even, then the phases.
-    Terms whose magnitude underflows to zero are not stored.  Keys are
-    ``(n, lam * m)`` in the order of n, then of m from ``-m_span`` up.
+    ``max_terms`` computed cells; the whole last grid is stored.
+    ``max_terms`` therefore counts grid cells, of which about half vanish,
+    not stored terms.  Only the cells the formula can fill are computed:
+    ``l_c = 0`` leaves ``m >= 0``, ``l_i = 0`` leaves ``m <= 0``, and
+    either leaves the single row ``n = 0`` of :func:`squeezed_coeffs` and
+    :func:`coherent_coeffs`.  Each grid is computed as arrays, a block of
+    rows at a time: log-magnitudes from a table of log factorials, grown
+    with the grid, on the cells whose Hermite index is even, then the
+    phases.  Terms whose magnitude underflows to zero are not stored.  Keys
+    are ``(n, lam * m)`` in the order of n, then of m from ``-m_span`` up.
     """
     _truncation(tail, max_terms)
     if spec.l_i_abs > 0 and spec.l_c_abs > 0 and spec.sign_i != -spec.sign_c:
@@ -363,14 +340,19 @@ def antirotating_coeffs(
     dphase_neg = -lam * spec.v
 
     n_max, m_span = 16, 16
+    log_fact = np.empty(0)
     while True:
-        log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + m_span + 1)])
         windings = np.arange(-m_span, m_span + 1)
         if eta == 0.0:
             windings = windings[windings <= 0]
         if l_c == 0.0:
             windings = windings[windings >= 0]
         rows = n_max + 1 if l_c * eta > 0 else 1
+        # Factorial and Hermite indices reach (rows - 1) + m_span.
+        if log_fact.size < rows + m_span:
+            log_fact = np.append(
+                log_fact, [math.lgamma(k + 1) for k in range(log_fact.size, rows + m_span)]
+            )
         blocks: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque()
         for first in range(0, rows, _ROW_BLOCK):
             n_block = np.arange(first, min(first + _ROW_BLOCK, rows))[:, None]
@@ -395,8 +377,9 @@ def antirotating_coeffs(
             c.real = amp * np.cos(phase)
             c.imag = amp * np.sin(phase)
             blocks.append((n, lam * m, c))
-        total = _total_probability(np.concatenate([np.abs(c) ** 2 for _, _, c in blocks]))
-        if 1.0 - total < tail or (n_max + 1) * (2 * m_span + 1) >= max_terms:
+        probabilities = np.concatenate([np.abs(c) ** 2 for _, _, c in blocks])
+        total = _exact_sum(probabilities, probabilities < _NEGLIGIBLE)
+        if 1.0 - total < tail or rows * windings.size >= max_terms:
             break
         n_max *= 2
         m_span *= 2
@@ -411,16 +394,21 @@ def antirotating_coeffs(
 def fock_coefficients(
     spec: MinPacketSpec, tail: float = 1e-12, max_terms: int = 10_000
 ) -> FockCoefficients:
-    """Expansion coefficients of any minimal packet, dispatching on senses."""
-    if spec.l_i_abs == 0 and spec.l_c_abs == 0:
-        return FockCoefficients(kind="coherent", coeffs={(0, 0): 1.0 + 0.0j}, residual=0.0)
+    """Expansion coefficients of any minimal packet, dispatching on senses.
+
+    Co-rotating packets with l_i, l_c > 0 use :func:`corotating_coeffs`
+    (``max_terms`` caps the terms); all others, as "coherent" (l_i = 0),
+    "squeezed" (l_c = 0) or "antirotating", the lattice of
+    :func:`antirotating_coeffs` (``max_terms`` is a cell budget).
+    """
+    if spec.l_i_abs > 0 and spec.l_c_abs > 0 and spec.sign_i == spec.sign_c:
+        return corotating_coeffs(spec, tail, max_terms)
+    out = antirotating_coeffs(spec, tail, max_terms)
     if spec.l_i_abs == 0:
-        return coherent_coeffs(spec.l_c_abs, spec.sign_c, spec.v, tail, min(max_terms, 1000))
+        return replace(out, kind="coherent")
     if spec.l_c_abs == 0:
-        return squeezed_coeffs(spec.l_i_abs, spec.sign_i, spec.u, tail, min(max_terms, 1000))
-    if spec.sign_i == spec.sign_c:
-        return corotating_coeffs(spec, tail, min(max_terms, 1000))
-    return antirotating_coeffs(spec, tail, max_terms)
+        return replace(out, kind="squeezed")
+    return out
 
 
 def generating_function(spec: MinPacketSpec, z: float) -> float:

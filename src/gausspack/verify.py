@@ -55,7 +55,7 @@ from .oracle.propagate import (
     propagate_oscillator,
 )
 from .packet import RealParams, angular_split, covariances, ellipse, first_moments, gaussian_state
-from .special import hermite_scaled, hermite_zero, laguerre_assoc_all
+from .special import hermite_scaled, laguerre_assoc_all
 
 __all__ = [
     "CheckResult",

@@ -198,13 +198,20 @@ class TestExpand:
         assert doc["n_coefficients"] > 3
         assert doc["total_probability"] == pytest.approx(1.0, abs=1e-10)
 
-    def test_kmax_caps_the_ladder(self, capsys):
-        doc = run_json(capsys, "expand", "--Li", "0", "--Lc", "0.8", "--kmax", "3")
-        assert doc["n_coefficients"] == 4
-        assert max(row["m"] for row in doc["coefficients"]) == 3
-        code, _, err = run_cli(capsys, "expand", "--Li", "0", "--Lc", "0.8",
-                               "--kmax", "-1")
-        assert code == 1 and "error:" in err
+    def test_wide_coherent_ladder_is_complete(self, capsys):
+        doc = run_json(capsys, "expand", "--Li", "0", "--Lc", "2000")
+        assert doc["kind"] == "coherent"
+        assert doc["residual"] < 1e-12
+        assert doc["mean_L"] == pytest.approx(2000.0, abs=1e-8)
+        probs = {row["m"]: row["probability"] for row in doc["coefficients"]}
+        for k in (1900, 2000, 2100):
+            log_poisson = -2000.0 + k * math.log(2000.0) - math.lgamma(k + 1)
+            assert math.log(probs[k]) == pytest.approx(log_poisson, abs=1e-10)
+
+    def test_corotating_overflow_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--Li", "0.01", "--Lc", "400", "--co")
+        assert code == 1 and out == ""
+        assert "error:" in err and "index 427" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "expand", "--Li", "0", "--Lc", "0.8",

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import gausspack as gp
-from gausspack import HBAR, InvalidParameterError, LGMode, MinPacketSpec
+from gausspack import HBAR, InvalidParameterError, LGMode, MinPacketSpec, ToleranceError
 from gausspack.fock import (
+    FockCoefficients,
     antirotating_coeffs,
     coherent_coeffs,
     corotating_coeffs,
@@ -110,6 +111,19 @@ class TestCoefficientFamilies:
         fc = squeezed_coeffs(0.8, sign_i=1, u=0.4)
         assert all(m % 2 == 0 and n == 0 for (n, m) in fc.coeffs)
 
+    @pytest.mark.parametrize("sign_i", [1, -1])
+    def test_squeezed_coefficients_follow_the_closed_form(self, sign_i):
+        l_i, u = 0.8, 0.4
+        eta = math.sqrt(l_i / (1.0 + l_i))
+        fc = squeezed_coeffs(l_i, sign_i=sign_i, u=u)
+        for k in range(6):
+            expected = (
+                (-1) ** k * (1.0 - eta**2) ** 0.25 * eta**k
+                * math.sqrt(math.factorial(2 * k)) / (2**k * math.factorial(k))
+                * cmath.exp(-1j * k * sign_i * u)
+            )
+            assert abs(fc[(0, 2 * k * sign_i)] - expected) <= 1e-14 * abs(expected), k
+
     def test_corotating_against_overlaps(self):
         spec = MinPacketSpec(l_i_abs=0.5, l_c_abs=0.9, sign_i=1, sign_c=1, u=0.8, v=1.9)
         overlap_check(spec, [(0, 0), (0, 1), (0, 2), (0, 4)])
@@ -159,6 +173,20 @@ class TestCoefficientFamilies:
         with pytest.raises(InvalidParameterError, match="_abs"):
             family(value)
 
+    def test_corotating_budget_caps_stored_terms(self):
+        spec = MinPacketSpec(l_i_abs=0.5, l_c_abs=1.0, sign_i=1, sign_c=1)
+        for max_terms in (1, 4, 10):
+            fc = corotating_coeffs(spec, max_terms=max_terms)
+            assert len(fc.coeffs) == max_terms
+            assert fc.residual > 0.0
+
+    def test_corotating_overflow_raises(self):
+        # |B| = 49 sends H_k(B)/sqrt(2^k k!) past the float range at k = 427,
+        # long before the ladder holds its probability.
+        spec = MinPacketSpec(l_i_abs=0.01, l_c_abs=400.0, sign_i=1, sign_c=1)
+        with pytest.raises(ToleranceError, match="index 427"):
+            fock_coefficients(spec)
+
     def test_truncation_validation(self):
         spec = MinPacketSpec(l_i_abs=0.5, l_c_abs=0.9, sign_i=1, sign_c=1)
         with pytest.raises(InvalidParameterError):
@@ -183,6 +211,88 @@ class TestStatistics:
         mean_e, var_e = fc.energy_stats(omega=1.4)
         assert mean_e == pytest.approx(gp.mean_energy(spec).total, abs=1e-10)
         assert var_e == pytest.approx(gp.sigma_e(spec), abs=1e-9)
+
+
+class TestOneRowLadders:
+    """Coherent (l_i = 0), squeezed (l_c = 0) and vacuum ladders are lattice rows."""
+
+    def test_wide_coherent_ladder_is_complete(self):
+        l_c = 2000.0
+        fc = fock_coefficients(MinPacketSpec(l_i_abs=0.0, l_c_abs=l_c), tail=1e-12)
+        assert fc.residual < 1e-12
+        mean_l, _ = fc.angular_momentum_stats()
+        assert mean_l == pytest.approx(HBAR * l_c, abs=1e-8)
+        for k in (1900, 2000, 2100):
+            log_poisson = -l_c + k * math.log(l_c) - math.lgamma(k + 1)
+            assert math.log(abs(fc[(0, k)]) ** 2) == pytest.approx(log_poisson, abs=1e-10)
+
+    def test_wide_squeezed_ladder_is_complete(self):
+        fc = fock_coefficients(MinPacketSpec(l_i_abs=300.0, l_c_abs=0.0), tail=1e-12)
+        assert fc.residual < 1e-12
+
+    @pytest.mark.parametrize(
+        "spec, kind, family",
+        [
+            (MinPacketSpec(l_i_abs=0.0, l_c_abs=1.3, sign_c=-1, v=0.4), "coherent",
+             lambda s, **kw: coherent_coeffs(s.l_c_abs, s.sign_c, s.v, **kw)),
+            (MinPacketSpec(l_i_abs=0.7, l_c_abs=0.0, sign_i=-1, u=1.9), "squeezed",
+             lambda s, **kw: squeezed_coeffs(s.l_i_abs, s.sign_i, s.u, **kw)),
+            (MinPacketSpec(l_i_abs=0.0, l_c_abs=0.0), "coherent",
+             lambda s, **kw: coherent_coeffs(s.l_c_abs, s.sign_c, s.v, **kw)),
+            (MinPacketSpec(l_i_abs=0.0, l_c_abs=0.0), "squeezed",
+             lambda s, **kw: squeezed_coeffs(s.l_i_abs, s.sign_i, s.u, **kw)),
+        ],
+    )
+    @pytest.mark.parametrize("tail, max_terms", [(1e-14, 10_000), (1e-12, 20)])
+    def test_families_are_lattice_rows(self, spec, kind, family, tail, max_terms):
+        lattice = antirotating_coeffs(spec, tail=tail, max_terms=max_terms)
+        for fc in (fock_coefficients(spec, tail=tail, max_terms=max_terms),
+                   family(spec, tail=tail, max_terms=max_terms)):
+            assert list(fc.coeffs.items()) == list(lattice.coeffs.items())
+            assert fc.residual == lattice.residual
+        assert family(spec).kind == kind
+
+    def test_corotating_limits_keep_their_label(self):
+        for spec in (MinPacketSpec(l_i_abs=0.0, l_c_abs=1.3, sign_c=-1, v=0.4),
+                     MinPacketSpec(l_i_abs=0.7, l_c_abs=0.0, sign_i=-1, u=1.9)):
+            fc = corotating_coeffs(spec)
+            assert fc.kind == "corotating"
+            assert fc.coeffs == antirotating_coeffs(spec).coeffs
+
+
+def fsum_statistics(fc, omega: float) -> tuple[float, ...]:
+    """The ladder statistics summed term by term with :func:`math.fsum`."""
+    probs = [((n, m), abs(c) ** 2) for (n, m), c in fc.items()]
+    total = math.fsum(p for _, p in probs)
+    mean_l = math.fsum(m * p for (_, m), p in probs)
+    var_l = math.fsum(m * m * p for (_, m), p in probs) - mean_l**2
+    levels = [(1 + abs(m) + 2 * n, p) for (n, m), p in probs]
+    mean_e = math.fsum(e * p for e, p in levels)
+    var_e = math.fsum(e * e * p for e, p in levels) - mean_e**2
+    scale = HBAR * omega
+    return total, HBAR * mean_l, HBAR**2 * var_l, scale * mean_e, scale**2 * var_e
+
+
+class TestLadderStatistics:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MinPacketSpec(l_i_abs=2.0, l_c_abs=0.5, sign_i=1, sign_c=-1, u=0.7, v=2.1),
+            MinPacketSpec(l_i_abs=0.6, l_c_abs=1.1, sign_i=-1, sign_c=-1, u=0.5, v=1.3),
+            MinPacketSpec(l_i_abs=0.0, l_c_abs=40.0, sign_c=-1, v=0.3),
+            MinPacketSpec(l_i_abs=0.0, l_c_abs=0.0),
+        ],
+    )
+    def test_array_sums_match_term_by_term_fsum(self, spec):
+        fc = fock_coefficients(spec, tail=1e-14)
+        got = (fc.total_probability, *fc.angular_momentum_stats(), *fc.energy_stats(1.3))
+        for value, expected in zip(got, fsum_statistics(fc, 1.3)):
+            assert abs(value - expected) <= 1e-15 * abs(expected)
+
+    def test_empty_ladder(self):
+        fc = FockCoefficients(kind="coherent", coeffs={}, residual=1.0)
+        assert fc.total_probability == 0.0
+        assert fc.angular_momentum_stats() == (0.0, 0.0)
 
 
 class TestGeneratingFunction:
@@ -247,7 +357,8 @@ def reference_antirotating(spec: MinPacketSpec, tail: float = 1e-12,
     """The antirotating ladder computed one element at a time.
 
     The scalar form of the formula in ``antirotating_coeffs``, with the same
-    grid doubling and stopping rule: ``(coeffs, residual)``.
+    grid doubling and stopping rule, whose budget counts the cells the
+    engine computes: ``(coeffs, residual)``.
     """
     lam = spec.sign_i if spec.l_i_abs > 0 else -spec.sign_c
     eta = spec.eta
@@ -298,7 +409,9 @@ def reference_antirotating(spec: MinPacketSpec, tail: float = 1e-12,
                 if c != 0.0:
                     coeffs[(n, lam * m)] = c
         total = math.fsum(abs(c) ** 2 for c in coeffs.values())
-        if 1.0 - total < tail or (n_max + 1) * (2 * m_span + 1) >= max_terms:
+        rows = n_max + 1 if l_c * eta > 0 else 1
+        width = 1 + (m_span if eta > 0 else 0) + (m_span if l_c > 0 else 0)
+        if 1.0 - total < tail or rows * width >= max_terms:
             return coeffs, 1.0 - total
         n_max *= 2
         m_span *= 2
@@ -372,6 +485,19 @@ class TestAntirotatingEngine:
     def test_unrotated_and_centered_limits(self, spec):
         fc = self.assert_same_ladder(spec, tail=1e-14)
         assert fc.residual < 1e-14
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MinPacketSpec(l_i_abs=0.0, l_c_abs=1.3, sign_c=-1, v=0.4),
+            MinPacketSpec(l_i_abs=0.7, l_c_abs=0.0, sign_i=-1, u=1.9),
+        ],
+    )
+    def test_one_row_budget_counts_computed_cells(self, spec):
+        # The row holds 17 cells at m_span = 16, under a budget of 20, and
+        # 33 at m_span = 32, which stops it.
+        fc = self.assert_same_ladder(spec, tail=1e-14, max_terms=20)
+        assert max(abs(m) for _, m in fc.coeffs) == 32
 
     def test_single_cell_budget_stops_after_the_first_grid(self):
         fc = self.assert_same_ladder(anti_spec(0.6, 1.1), max_terms=1)
