@@ -12,7 +12,7 @@ from .quadrature import QuadratureSpec, gauss_legendre_2d, integrate_adaptive
 from .observables import Observable, momentum_monomial, position_monomial
 from .moments import expectation, norm_integral, wigner_fourth_moment
 from .minimize import MinimizeOutcome, minimize_free
-from .overlap import overlap_integral
+from .overlap import overlap_integral, overlap_integrals
 from .propagate import propagate_free, propagate_magnetic, propagate_oscillator, fit_gaussian_exponent
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "MinimizeOutcome",
     "minimize_free",
     "overlap_integral",
+    "overlap_integrals",
     "propagate_free",
     "propagate_oscillator",
     "propagate_magnetic",

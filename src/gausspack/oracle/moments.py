@@ -53,11 +53,15 @@ def _poly_add(p: Poly, q: Poly, scale: complex = 1.0) -> Poly:
     return out
 
 
-def _poly_eval(p: Poly, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
+def _coefficient_matrix(p: Poly) -> np.ndarray:
+    """Dense matrix ``C`` with ``P(x, y) = sum_ij C[i, j] x^i y^j``."""
+    coeffs = np.zeros(
+        (1 + max((i for i, _ in p), default=0), 1 + max((j for _, j in p), default=0)),
+        dtype=complex,
+    )
     for (i, j), c in p.items():
-        out += c * x**i * y**j
-    return out
+        coeffs[i, j] = c
+    return coeffs
 
 
 def _log_gradients(params: RealParams) -> tuple[Poly, Poly]:
@@ -109,14 +113,25 @@ def expectation(
     quad: QuadratureSpec | None = None,
     box: tuple[float, float, float, float] | None = None,
 ) -> complex:
-    """Quadrature value of ``<psi| O |psi>`` for a normal-ordered observable."""
+    """Quadrature value of ``<psi| O |psi>`` for a normal-ordered observable.
+
+    On each rule pass the polynomial is one matrix product over the node
+    axes, ``(x^i) @ C @ (y^j)^T``, times the density on the open grid.
+    """
     quad = quad or QuadratureSpec()
-    poly = _observable_polynomial(params, obs)
+    coeffs = _coefficient_matrix(_observable_polynomial(params, obs))
+    n_x, n_y = coeffs.shape
     if box is None:
         box = integration_box(params, quad.half_width_sigmas)
 
     def integrand(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _poly_eval(poly, x, y) * density(params, x, y)
+        values = (
+            np.vander(x[:, 0], n_x, increasing=True)
+            @ coeffs
+            @ np.vander(y[0], n_y, increasing=True).T
+        )
+        values *= density(params, x[:, :1], y[:1, :])  # in place: one (n, n) array per pass
+        return values
 
     return integrate_adaptive(integrand, box, quad)
 
@@ -125,7 +140,7 @@ def norm_integral(params: RealParams, quad: QuadratureSpec | None = None) -> flo
     """Total probability by quadrature; should be 1 for any valid packet."""
     quad = quad or QuadratureSpec()
     box = integration_box(params, quad.half_width_sigmas)
-    return integrate_adaptive(lambda x, y: density(params, x, y), box, quad).real
+    return integrate_adaptive(lambda x, y: density(params, x[:, :1], y[:1, :]), box, quad).real
 
 
 @lru_cache(maxsize=8)

@@ -63,9 +63,10 @@ def _propagate(params: RealParams, factors: _Factors, quad: QuadratureSpec) -> n
     box = integration_box(params, quad.half_width_sigmas)
 
     def integrand(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        a, b = factors(xs[:, :1], ys[:1, :])
+        x_axis, y_axis = xs[:, :1], ys[:1, :]
+        a, b = factors(x_axis, y_axis)
         values = a * b
-        values *= wavefunction(params, xs, ys)  # in place: one (T, n, n) array per pass
+        values *= wavefunction(params, x_axis, y_axis)  # in place: one (T, n, n) array per pass
         return values
 
     return integrate_adaptive(integrand, box, quad)

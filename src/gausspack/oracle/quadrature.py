@@ -67,6 +67,18 @@ def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _axis_grid(axis: np.ndarray, along: int) -> np.ndarray:
+    """Read-only ``(n, n)`` view of ``axis`` that varies along ``along`` only.
+
+    Built directly with stride 0 on the other dimension: it is the same view
+    ``np.broadcast_to`` gives, at a fraction of that function's call cost.
+    """
+    strides = (axis.itemsize, 0) if along == 0 else (0, axis.itemsize)
+    grid = np.ndarray((axis.size, axis.size), axis.dtype, axis, strides=strides)
+    grid.flags.writeable = False
+    return grid
+
+
 def gauss_legendre_2d(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     box: tuple[float, float, float, float],
@@ -79,13 +91,18 @@ def gauss_legendre_2d(
     shape ``(..., order, order)``.  The last two axes are contracted: a
     scalar integrand gives a complex number, a stacked one an array of
     shape ``...``.
+
+    ``X`` and ``Y`` are read-only broadcast views of the mapped node axes,
+    not dense copies: ``X[:, :1]`` (shape ``(order, 1)``) and ``Y[:1, :]``
+    (shape ``(1, order)``) are the axes themselves, so an integrand that
+    factors over the axes can work on the open grid, and writing into
+    either view raises ``ValueError``.
     """
     x0, x1, y0, y1 = box
     t, w = _nodes(order)
     xs = 0.5 * (x1 - x0) * t + 0.5 * (x1 + x0)
     ys = 0.5 * (y1 - y0) * t + 0.5 * (y1 + y0)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    values = np.asarray(f(X, Y))
+    values = np.asarray(f(_axis_grid(xs, 0), _axis_grid(ys, 1)))
     jac = 0.25 * (x1 - x0) * (y1 - y0)
     result = jac * (values @ w @ w)
     return complex(result) if result.ndim == 0 else result.astype(complex)

@@ -208,6 +208,23 @@ class TestExpand:
             log_poisson = -2000.0 + k * math.log(2000.0) - math.lgamma(k + 1)
             assert math.log(probs[k]) == pytest.approx(log_poisson, abs=1e-10)
 
+    @pytest.mark.parametrize("argv, residual, count", [
+        (["--Li", "0", "--Lc", "1e5"], "residual 1 ", "0 coefficients"),
+        (["--Li", "1e4"], "residual 0.201", "8193 coefficients"),
+        (["--Li", "0.5", "--Lc", "0.9", "--co", "--max-terms", "3"], "residual 0.0878",
+         "3 coefficients"),
+    ], ids=["coherent-underflow", "squeezed-budget", "corotating-budget"])
+    def test_unconverged_ladder_exits_1(self, capsys, tmp_path, argv, residual, count):
+        target = tmp_path / "ladder.json"
+        code, out, err = run_cli(capsys, "expand", *argv, "--out", str(target))
+        assert code == 1 and out == "" and not target.exists()
+        assert "error:" in err and residual in err and count in err
+
+    def test_ladder_meeting_its_tail_exits_0(self, capsys):
+        doc = run_json(capsys, "expand", "--Li", "0.5", "--Lc", "0.9", "--co",
+                       "--max-terms", "3", "--tail", "0.09")
+        assert doc["n_coefficients"] == 3 and doc["residual"] < 0.09
+
     def test_corotating_overflow_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "expand", "--Li", "0.01", "--Lc", "400", "--co")
         assert code == 1 and out == ""

@@ -24,8 +24,9 @@ from gausspack.oracle.observables import (
     oscillator_hamiltonian_op,
     position_monomial,
 )
+from gausspack.oracle import moments as moments_module
 from gausspack.oracle import propagate as propagate_module
-from gausspack.oracle.overlap import overlap_integral
+from gausspack.oracle.overlap import overlap_integral, overlap_integrals
 from gausspack.oracle.propagate import (
     fit_gaussian_exponent,
     propagate_free,
@@ -120,6 +121,30 @@ class TestQuadrature:
         assert val.real == pytest.approx(HBAR * gp.angular_split(DISPLACED).total, abs=1e-10)
         # Bisecting every panel above its area share of abs_tol took 850.
         assert len(rule_passes) <= 100
+        # Cheaper rule passes must not change the partition.
+        assert len(rule_passes) == 66
+
+    def test_integrand_gets_read_only_views_of_the_node_axes(self):
+        box, order = (-1.0, 3.0, 0.5, 2.0), 6
+        t, _ = np.polynomial.legendre.leggauss(order)
+        seen = []
+
+        def f(x, y):
+            seen.append((x, y))
+            return np.ones(x.shape)
+
+        assert gauss_legendre_2d(f, box, order) == pytest.approx(6.0, rel=1e-14)
+        (x, y), = seen
+        assert x.shape == y.shape == (order, order)
+        assert np.array_equal(x[:, :1], (2.0 * t + 1.0)[:, None])
+        assert np.array_equal(y[:1, :], (0.75 * t + 1.25)[None, :])
+        assert np.array_equal(x, np.broadcast_to(x[:, :1], x.shape))
+        assert np.array_equal(y, np.broadcast_to(y[:1, :], y.shape))
+        for grid in (x, y):
+            with pytest.raises(ValueError):
+                grid[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                grid *= 2.0
 
     @pytest.mark.parametrize("params, kernel", [
         (GENERIC, lambda x, y, xs, ys: full_free_kernel(0.9, x, y, xs, ys)),
@@ -249,6 +274,41 @@ class TestExpectation:
         assert x0 < cx < x1 and y0 < cy < y1
 
 
+def dense_grid_expectation(params, obs):
+    """``expectation`` as it was computed before: the polynomial summed
+    monomial by monomial on dense copies of the node grids."""
+    poly = moments_module._observable_polynomial(params, obs)
+
+    def integrand(x, y):
+        x, y = np.array(x), np.array(y)
+        out = np.zeros(x.shape, dtype=complex)
+        for (i, j), c in poly.items():
+            out += c * x**i * y**j
+        return out * gp.density(params, x, y)
+
+    return integrate_adaptive(integrand, integration_box(params))
+
+
+class TestMatrixPolynomialIntegrand:
+    X = position_monomial(1, 0)
+    PX = momentum_monomial(1, 0)
+
+    @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
+    @pytest.mark.parametrize("name", ["x", "px", "x2", "x_px_sym", "L", "L2"])
+    def test_matches_dense_grid_reference(self, params, name):
+        obs = {
+            "x": self.X,
+            "px": self.PX,
+            "x2": position_monomial(2, 0),
+            "x_px_sym": 0.5 * (self.X * self.PX + self.PX * self.X),
+            "L": angular_momentum_op(),
+            "L2": angular_momentum_op().squared(),
+        }[name]
+        val = expectation(params, obs)
+        ref = dense_grid_expectation(params, obs)
+        assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
 class TestWignerFourthMoment:
     def test_matches_wick_pairing(self, rng):
         a = rng.normal(size=(4, 4))
@@ -320,6 +380,16 @@ class TestOverlap:
         mode = gp.LGMode(0, 0, 1.7)
         val = overlap_integral(params, mode, mode_extent=3.0 * mode.rms_radius)
         assert val == pytest.approx(1.0, abs=1e-11)
+
+    def test_stacked_modes_match_one_integral_each(self):
+        modes = [gp.LGMode(0, 0, GENERIC.mu), gp.LGMode(1, -2, GENERIC.mu),
+                 gp.LGMode(2, 3, GENERIC.mu)]
+        extent = max(3.5 * mode.rms_radius for mode in modes)
+        stacked = overlap_integrals(GENERIC, modes, mode_extent=extent)
+        assert stacked.shape == (3,)
+        for mode, val in zip(modes, stacked):
+            one = overlap_integral(GENERIC, mode, mode_extent=3.5 * mode.rms_radius)
+            assert abs(val - one) <= 1e-12
 
     def test_distant_packet_barely_overlaps(self):
         far = gp.params_from_moments(GENERIC, 12.0, 0.0, 0.0, 0.0)
