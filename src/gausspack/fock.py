@@ -91,7 +91,8 @@ def lg_mode_eval(n_r: int, m: int, mu: float, x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m_abs = abs(m)
-    arg = mu * (x**2 + y**2)
+    r2 = x**2 + y**2
+    arg = mu * r2
     # psi_0 = arg^(m/2) e^(-arg/2) / sqrt(m!), assembled in log space.
     with np.errstate(divide="ignore", invalid="ignore"):
         log_psi0 = 0.5 * (m_abs * np.log(arg) - arg) - 0.5 * log_factorial(m_abs)
@@ -104,8 +105,20 @@ def lg_mode_eval(n_r: int, m: int, mu: float, x, y) -> np.ndarray:
                 - math.sqrt(n * (n + m_abs) / ((n + 1) * (n + 1 + m_abs))) * prev,
                 psi,
             )
-    phase = np.exp(1j * m * np.arctan2(y, x))
-    return math.sqrt(mu / math.pi) * psi * phase
+    amplitude = math.sqrt(mu / math.pi) * psi
+    if m == 0:
+        return amplitude.astype(complex)
+    # exp(i m atan2(y, x)) as ((x +- i y)/r)^|m| by repeated squaring, with
+    # the sign of m; the unit is 1 at the origin, where atan2 gives 0.
+    r = np.sqrt(r2)
+    at_origin = r == 0.0
+    unit = (x + math.copysign(1.0, m) * 1j * y) * (1.0 / (r + at_origin)) + at_origin
+    value, k = amplitude, m_abs
+    while k:
+        if k & 1:
+            value = value * unit
+        unit, k = unit * unit, k >> 1
+    return value
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ Each function evaluates the evolved wavefunction at requested points as
 with the exact quadratic kernel of the corresponding Hamiltonian (free
 particle, isotropic oscillator, uniform magnetic field in symmetric gauge).
 For every target ``r_i`` each kernel factors as ``A_i(x') B_i(y')``, so one
-adaptive quadrature over a stacked integrand serves all targets: the
-targets share one partition, and a rule pass costs one ``psi`` evaluation
-plus ``T n`` exponentials for ``T`` targets on ``n x n`` nodes.
+adaptive quadrature over a stacked integrand serves all targets, and the
+targets share one partition.  The integrand hands the rule the factors
+``(A, psi, B)`` rather than their ``(T, n, n)`` product, so a rule pass
+costs one ``psi`` evaluation on the ``n x n`` nodes, ``2 T n``
+exponentials and one ``(T, n) x (n, n)`` matrix product for ``T`` targets.
 ``fit_gaussian_exponent`` then recovers packet parameters from sampled
 values by a linear least-squares fit to ``log psi``, giving a closed loop
 that checks analytic evolution laws without sharing any algebra with them.
@@ -41,14 +43,15 @@ __all__ = [
 #: oscillatory kernel, so the budget is looser than for moment integrals.
 _PROP_QUAD = QuadratureSpec(order=32, refined_order=48, abs_tol=1e-12, max_splits=8)
 
-#: Maps the node axes ``xs`` (shape ``(n, 1)``) and ``ys`` (shape ``(1, n)``)
-#: to the per-target kernel factors ``A`` (shape ``(T, n, 1)``) and ``B``
-#: (shape ``(T, 1, n)``), with ``K(r_i, (x', y')) = A[i](x') * B[i](y')``.
+#: Maps the 1-D node axes ``xs`` and ``ys`` (shape ``(n,)``) to the
+#: per-target kernel factors ``A`` and ``B`` (shape ``(T, n)``), with
+#: ``K(r_i, (x', y')) = A[i](x') * B[i](y')``.  The rule contracts
+#: ``(A, psi, B)`` with one ``(T, n) x (n, n)`` product per pass.
 _Factors = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _target_axes(targets: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """Target coordinates as ``(T, 1, 1)`` arrays, ready to broadcast over nodes."""
+    """Target coordinates as ``(T, 1)`` arrays, ready to broadcast over a node axis."""
     pts = np.asarray(targets, dtype=float)
     if pts.size == 0:
         pts = pts.reshape(0, 2)
@@ -56,18 +59,15 @@ def _target_axes(targets: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np
         raise InvalidParameterError(f"targets must be (x, y) pairs, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise InvalidParameterError("propagator targets must be finite")
-    return pts[:, 0, None, None], pts[:, 1, None, None]
+    return pts[:, 0, None], pts[:, 1, None]
 
 
 def _propagate(params: RealParams, factors: _Factors, quad: QuadratureSpec) -> np.ndarray:
     box = integration_box(params, quad.half_width_sigmas)
 
-    def integrand(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        x_axis, y_axis = xs[:, :1], ys[:1, :]
-        a, b = factors(x_axis, y_axis)
-        values = a * b
-        values *= wavefunction(params, x_axis, y_axis)  # in place: one (T, n, n) array per pass
-        return values
+    def integrand(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a, b = factors(xs[:, 0], ys[0, :])
+        return a, wavefunction(params, xs[:, :1], ys[:1, :]), b
 
     return integrate_adaptive(integrand, box, quad)
 

@@ -11,9 +11,11 @@ No panel is held to a share of its own, so none is split merely because
 its share has fallen below double-precision roundoff.
 
 An integrand may be vector-valued: a stack of components of shape
-``(..., n, n)`` on the ``n x n`` node grid.  All components then share one
-partition, a panel is ranked by its largest component error, and
-refinement goes on until every component's summed estimate meets the
+``(..., n, n)`` on the ``n x n`` node grid, or, when every component
+factors as ``a[t](x) core(x, y) b[t](y)``, the factor triple
+``(a, core, b)`` (see :func:`gauss_legendre_2d`).  All components then
+share one partition, a panel is ranked by its largest component error,
+and refinement goes on until every component's summed estimate meets the
 budget.
 """
 
@@ -61,6 +63,13 @@ class QuadratureSpec:
             raise InvalidParameterError("tolerances and widths must be positive")
 
 
+#: Maps the node grids ``X, Y`` to a dense stack of values or to the
+#: factor triple ``(a, core, b)``; see :func:`gauss_legendre_2d`.
+Integrand = Callable[
+    [np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]
+]
+
+
 @lru_cache(maxsize=32)
 def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
@@ -80,7 +89,7 @@ def _axis_grid(axis: np.ndarray, along: int) -> np.ndarray:
 
 
 def gauss_legendre_2d(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Integrand,
     box: tuple[float, float, float, float],
     order: int,
 ) -> complex | np.ndarray:
@@ -97,14 +106,27 @@ def gauss_legendre_2d(
     (shape ``(1, order)``) are the axes themselves, so an integrand that
     factors over the axes can work on the open grid, and writing into
     either view raises ``ValueError``.
+
+    A stacked integrand whose components factor as
+    ``values[t, i, j] = a[t, i] * core[i, j] * b[t, j]`` may return the
+    tuple ``(a, core, b)`` instead, of shapes ``(T, order)``,
+    ``(order, order)`` and ``(T, order)``.  The rule then contracts it as
+    ``sum_j ((a w) @ (core w))[t, j] b[t, j]``: one ``(T, order) x
+    (order, order)`` product and one row sum, and the ``(T, order, order)``
+    stack is never built.  The result has shape ``(T,)`` as for the dense
+    stack.
     """
     x0, x1, y0, y1 = box
     t, w = _nodes(order)
     xs = 0.5 * (x1 - x0) * t + 0.5 * (x1 + x0)
     ys = 0.5 * (y1 - y0) * t + 0.5 * (y1 + y0)
-    values = np.asarray(f(_axis_grid(xs, 0), _axis_grid(ys, 1)))
+    values = f(_axis_grid(xs, 0), _axis_grid(ys, 1))
     jac = 0.25 * (x1 - x0) * (y1 - y0)
-    result = jac * (values @ w @ w)
+    if isinstance(values, tuple):
+        a, core, b = values
+        result = jac * np.sum(((a * w) @ (core * w)) * b, axis=-1)
+    else:
+        result = jac * (np.asarray(values) @ w @ w)
     return complex(result) if result.ndim == 0 else result.astype(complex)
 
 
@@ -120,7 +142,7 @@ class _Panel(NamedTuple):
 
 
 def integrate_adaptive(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Integrand,
     box: tuple[float, float, float, float],
     spec: QuadratureSpec | None = None,
 ) -> complex | np.ndarray:

@@ -373,7 +373,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--checks", "nonsense")
         assert code == 1 and "error:" in err
 
-    def test_suite_selects_check_group(self, capsys, tmp_path):
+    def test_suite_selects_check_group(self, capsys, monkeypatch, tmp_path):
+        # The real minimum search runs in test_acceptance.py; selection needs only its slot.
+        seeds = []
+
+        def minimum(seed):
+            seeds.append(seed)
+            return verify.CheckResult(name="minimum", passed=True, duration=0.0, summary="stub")
+
+        monkeypatch.setitem(verify.CHECKS, "minimum", minimum)
         target = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "verify", "--suite", "min",
                                "--report", str(target))
@@ -383,6 +391,7 @@ class TestVerify:
         assert doc["passed"] is True
         assert [r["name"] for r in doc["results"]] == ["minimum", "subpoisson",
                                                        "squeezing"]
+        assert seeds == [gp.DEFAULT_SEED]
 
     def test_suite_and_checks_are_exclusive(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "min", "--checks", "fock")

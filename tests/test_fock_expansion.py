@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 import gausspack as gp
 from gausspack import HBAR, InvalidParameterError, LGMode, MinPacketSpec, ToleranceError
@@ -76,6 +77,20 @@ class TestModes:
         vals = lg_mode_eval(0, 3, 1.0, 0.8 * np.cos(angles), 0.8 * np.sin(angles))
         dphase = np.angle(vals[1] / vals[0])
         assert dphase == pytest.approx(3 * angles[1], rel=1e-12)
+
+    @pytest.mark.parametrize("n_r", [0, 2])
+    @pytest.mark.parametrize("m", range(-6, 7))
+    def test_phase_matches_polar_angle(self, n_r, m):
+        mu = 1.3
+        x, y = np.meshgrid(np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 1.5, 7), indexing="ij")
+        assert np.any((x == 0.0) & (y == 0.0))
+        arg = mu * (x**2 + y**2)
+        norm = math.sqrt(mu / math.pi * math.factorial(n_r) / math.factorial(n_r + abs(m)))
+        radial = norm * arg ** (abs(m) / 2) * np.exp(-arg / 2) * eval_genlaguerre(n_r, abs(m), arg)
+        want = radial * np.exp(1j * m * np.arctan2(y, x))
+        got = lg_mode_eval(n_r, m, mu, x, y)
+        assert got.dtype == complex
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_large_quantum_numbers_stay_finite(self):
         vals = lg_mode_eval(150, 140, 1.0, np.linspace(-20, 20, 41), np.zeros(41))

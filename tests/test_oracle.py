@@ -164,6 +164,31 @@ class TestQuadrature:
             scalar = integrate_adaptive(lambda xs, ys: one(x, y, xs, ys), box)
             assert abs(stacked[k] - scalar) <= 1e-14
 
+    @pytest.mark.parametrize("order", [32, 48])
+    @pytest.mark.parametrize("n_targets", [0, 1, 9, 81])
+    def test_factor_triple_matches_dense_stack(self, rng, n_targets, order):
+        box = (-0.4, 0.6, -0.7, 0.3)  # unit area, so |integral| <= max|v|
+        cx, cy = rng.uniform(-1.0, 1.0, size=(2, n_targets, 1))
+
+        def factors(x, y):
+            xs, ys = x[:, 0], y[0, :]
+            core = np.exp(-(x[:, :1] ** 2) - 2.0 * y[:1, :] ** 2 + 3j * x[:, :1] * y[:1, :])
+            return np.exp(5j * (xs - cx) ** 2), core, (1.0 + ys) * np.exp(-4j * cy * ys)
+
+        peak = []
+
+        def dense(x, y):
+            a, core, b = factors(x, y)
+            values = a[:, :, None] * core * b[:, None, :]
+            peak.append(np.max(np.abs(values), initial=0.0))
+            return values
+
+        got = gauss_legendre_2d(factors, box, order)
+        want = gauss_legendre_2d(dense, box, order)
+        assert got.shape == want.shape == (n_targets,)
+        assert got.dtype == complex
+        assert np.all(np.abs(got - want) <= 1e-15 * peak[0])
+
     def test_one_component_over_budget_raises(self):
         spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-12, max_splits=0)
         box = (-3.0, 3.0, -3.0, 3.0)
@@ -457,14 +482,22 @@ class TestPropagators:
         with pytest.raises(InvalidParameterError):
             propagate_free(GENERIC, 0.9, [(0.0, 1.0, 2.0)])
 
-    @pytest.mark.parametrize("call", [
+    CALLS = [
         lambda pts: propagate_free(GENERIC, 0.9, pts),
         lambda pts: propagate_oscillator(GENERIC, 0.7, pts, omega=1.3),
         lambda pts: propagate_magnetic(GENERIC, 0.8, pts, omega_larmor=-0.9),
-    ])
+    ]
+
+    @pytest.mark.parametrize("call", CALLS)
     def test_empty_target_list(self, call):
         out = call([])
         assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_one_target_gives_one_value(self, call):
+        out = call(PROBES[1:2])
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+        assert out.dtype == complex
 
     @pytest.mark.parametrize("n_targets", [1, 5, 25])
     def test_one_integral_per_call(self, monkeypatch, n_targets):
@@ -513,12 +546,56 @@ class TestRankOneKernels:
         call(params, [tuple(p) for p in pts])
         (integrand,) = seen
         X, Y = np.meshgrid(rng.uniform(-1.5, 1.5, 11), rng.uniform(-1.5, 1.5, 9), indexing="ij")
-        got = integrand(X, Y)
+        a, core, b = integrand(X, Y)
+        assert (a.shape, core.shape, b.shape) == ((7, 11), (11, 9), (7, 9))
+        got = a[:, :, None] * core * b[:, None, :]
         x = pts[:, 0, None, None]
         y = pts[:, 1, None, None]
         want = kernel(x, y, X, Y) * gp.wavefunction(params, X, Y)
-        assert got.shape == (7, 11, 9)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+#: The paper's symmetric-form packet with beta0 = 0.3, chi0 = 3, which focuses under free evolution.
+SHRINKING = RealParams(mu=1.0, alpha=1.0, beta=0.3, gamma=1.0, chi_a=-3.0, chi_c=3.0, rho=0.0)
+
+
+class TestFactoredRulePasses:
+    """Contracting the propagators' kernel factors leaves their partitions unchanged."""
+
+    CASES = [
+        # tau = 2 hbar mu t / mass = 2 t in these units.
+        ("free", lambda pts: propagate_free(
+            SHRINKING, gp.shrink_analysis(SHRINKING).tau_min / 2.0, pts)),
+        ("magnetic", lambda pts: propagate_magnetic(GENERIC, 0.8, pts, omega_larmor=-0.9)),
+    ]
+
+    @pytest.mark.parametrize("name, call", CASES, ids=[c[0] for c in CASES])
+    def test_same_passes_as_dense_stack(self, monkeypatch, name, call):
+        integrals, passes = [], []
+
+        def capture(f, box, spec=None):
+            integrals.append((f, box, spec))
+            return integrate_adaptive(f, box, spec)
+
+        def recording(f, box, order):
+            passes.append((box, order))
+            return gauss_legendre_2d(f, box, order)
+
+        monkeypatch.setattr(propagate_module, "integrate_adaptive", capture)
+        monkeypatch.setattr(quadrature_module, "gauss_legendre_2d", recording)
+        got = call(PROBES)
+        (integrand, box, spec), = integrals
+        factored_passes = sorted(passes)
+        passes.clear()
+
+        def dense(xs, ys):
+            a, core, b = integrand(xs, ys)
+            return a[:, :, None] * core * b[:, None, :]
+
+        want = integrate_adaptive(dense, box, spec)
+        assert factored_passes == sorted(passes)
+        # Relative to the largest value: the focused packet is ~1e-7 at the far probes.
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestExponentFit:
