@@ -2,24 +2,22 @@
 
 The natural basis for a two-dimensional isotropic oscillator consists of
 modes with definite energy ``hbar omega (1 + |m| + 2 n_r)`` and definite
-angular momentum ``m hbar``.  A minimal rotating packet has closed-form
-expansion coefficients in this basis, with strikingly different structure
-depending on whether the center orbits with or against the internal
-rotation: co-rotating packets populate a single radial quantum number
-through Hermite polynomials of a complex argument, while counter-rotating
-packets spread over both quantum numbers.  This module implements the mode
-functions, all four coefficient families (the circular-coherent, centered-
-deformed and vacuum cases are single rows of the counter-rotating lattice,
-which computes them), the probability generating function, and summary
-statistics derived from the expansion.
+angular momentum ``m hbar``; in the circular quanta ``n_+``, ``n_-`` of the
+two senses, ``n_r = min(n_+, n_-)`` and ``m = n_+ - n_-``.  A co-rotating
+packet fills one circular mode, so its ladder is one row at radial index
+zero; a counter-rotating packet is the internal squeezed state in one mode
+times the centre's coherent state in the other, so its ladder is the outer
+product of two rows and spreads over both quantum numbers.  Every row is
+one run of :func:`gausspack.special.hermite_scaled`.  This module implements
+the mode functions, the four coefficient families, the probability
+generating function, and summary statistics derived from the expansion.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Tuple
 
@@ -163,122 +161,12 @@ class FockCoefficients:
         """Sums of ``p``, ``x p`` and ``x^2 p``: x is m, or with ``energy`` 1 + |m| + 2n."""
         size = len(self.coeffs)
         n, m = np.fromiter(chain.from_iterable(self.coeffs), np.int64, 2 * size).reshape(-1, 2).T
-        p = np.abs(np.fromiter(self.coeffs.values(), complex, size)) ** 2
+        c = np.fromiter(self.coeffs.values(), complex, size)
+        p = np.hypot(c.real, c.imag) ** 2  # as abs(c) ** 2; NumPy's complex abs rounds otherwise
         x = 1 + np.abs(m) + 2 * n if energy else m
         small = p < _NEGLIGIBLE
         return _exact_sum(p, small), _exact_sum(x * p, small), _exact_sum(x * x * p, small)
 
-
-def _truncation(tail: float, max_terms: int) -> None:
-    if not (0 < tail < 1):
-        raise InvalidParameterError(f"tail must be in (0, 1), got {tail}")
-    if max_terms < 1:
-        raise InvalidParameterError(f"max_terms must be >= 1, got {max_terms}")
-
-
-def coherent_coeffs(
-    l_c_abs: float,
-    sign_c: int = 1,
-    v: float = 0.0,
-    tail: float = 1e-12,
-    max_terms: int = 10_000,
-) -> FockCoefficients:
-    """Coefficients of an undeformed packet on a circular orbit.
-
-    Pure Poissonian ladder in the winding number:
-    ``c[0, sign_c k] = l_c^(k/2)/sqrt(k!) exp(-l_c/2) exp(-i k sign_c v)``,
-    computed as the single row (eta = 0) of :func:`antirotating_coeffs`.
-    """
-    spec = MinPacketSpec(l_i_abs=0.0, l_c_abs=l_c_abs, sign_c=sign_c, v=v)
-    return replace(antirotating_coeffs(spec, tail, max_terms), kind="coherent")
-
-
-def squeezed_coeffs(
-    l_i_abs: float,
-    sign_i: int = 1,
-    u: float = 0.0,
-    tail: float = 1e-12,
-    max_terms: int = 10_000,
-) -> FockCoefficients:
-    """Coefficients of a centered rotating packet (no orbital motion).
-
-    Only even windings of one sense appear:
-    ``c[0, 2k sign_i] = (-1)^k (1-eta^2)^(1/4) eta^k sqrt((2k)!)/(2^k k!)
-    exp(-i k sign_i u)``, computed as the single row (l_c = 0) of
-    :func:`antirotating_coeffs`.
-    """
-    spec = MinPacketSpec(l_i_abs=l_i_abs, sign_i=sign_i, u=u)
-    return replace(antirotating_coeffs(spec, tail, max_terms), kind="squeezed")
-
-
-def corotating_coeffs(
-    spec: MinPacketSpec, tail: float = 1e-12, max_terms: int = 10_000
-) -> FockCoefficients:
-    """Coefficients of a packet whose center orbits with its internal rotation.
-
-    All population sits at radial index zero; the winding ladder is
-
-        c[0, sign k] = (1-eta^2)^(1/4) eta^(k/2) exp(-i sign u k / 2)
-                       * H_k(B)/sqrt(2^k k!) * exp(-l_c (1 + eta cos 2w)/2)
-
-    with the complex Hermite argument
-    ``B = (eta e^(iw) + e^(-iw)) sqrt(l_c / (2 eta))``, stopped once less
-    than ``tail`` is missing or at ``max_terms`` terms; a Hermite value
-    beyond the float range before that raises :class:`ToleranceError`.
-    The centered and circular limits are computed by
-    :func:`antirotating_coeffs`, as single rows.
-    """
-    _truncation(tail, max_terms)
-    if spec.l_i_abs > 0 and spec.l_c_abs > 0 and spec.sign_i != spec.sign_c:
-        raise InvalidParameterError(
-            "corotating expansion needs matching senses; use antirotating_coeffs"
-        )
-    if spec.l_i_abs == 0 or spec.l_c_abs == 0:
-        return replace(antirotating_coeffs(spec, tail, max_terms), kind="corotating")
-
-    eta = spec.eta
-    lam = spec.sign_i
-    w = spec.w
-    l_c = spec.l_c_abs
-    b_arg = (eta * cmath.exp(1j * w) + cmath.exp(-1j * w)) * math.sqrt(
-        l_c / (2.0 * eta)
-    )
-    pref = (1.0 - eta**2) ** 0.25 * math.exp(-0.5 * l_c * (1.0 + eta * math.cos(2.0 * w)))
-
-    coeffs: Dict[Tuple[int, int], complex] = {}
-    total = 0.0
-    kmax = 64
-    while True:
-        kmax = min(kmax, max_terms - 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            hermites = hermite_scaled(kmax, b_arg)
-        coeffs.clear()
-        total = 0.0
-        for k in range(kmax + 1):
-            if not cmath.isfinite(hermites[k]):
-                raise ToleranceError(
-                    f"corotating ladder: H_k(B)/sqrt(2^k k!) overflows at index {k} "
-                    f"(|B| = {abs(b_arg):.6g}) with {1.0 - total:.3g} of the probability missing"
-                )
-            c = (
-                pref
-                * eta ** (0.5 * k)
-                * cmath.exp(-0.5j * lam * spec.u * k)
-                * hermites[k]
-            )
-            coeffs[(0, lam * k)] = c
-            total += abs(c) ** 2
-            if 1.0 - total < tail and k > 4:
-                break
-        if 1.0 - total < tail or kmax >= max_terms - 1:
-            break
-        kmax *= 2
-    return FockCoefficients(kind="corotating", coeffs=coeffs, residual=1.0 - total)
-
-
-#: Grid rows of the antirotating ladder computed per block, which bounds the
-#: size of the temporary arrays and lists.
-_ROW_BLOCK = 16
 
 #: Probabilities below this are summed in floating point before the exact
 #: sum of the rest: even 2**50 of them stay under 2**-60, below half an ulp
@@ -298,6 +186,140 @@ def _exact_sum(terms: np.ndarray, small: np.ndarray) -> float:
     return math.fsum([*terms[~small].tolist(), float(terms[small].sum())])
 
 
+def _row(kind: str, l_i: float, l_c: float, lam: int, u: float, v: float, tail: float,
+         max_terms: int) -> np.ndarray:
+    """Amplitudes ``c_0..c_K`` of a packet co-rotating in circular mode ``lam``.
+
+    One run of :func:`hermite_scaled` (``w = lam (v - u/2)``): ``zeta = eta
+    e^(-i lam u)``, ``z = sqrt(l_c/2) (eta e^(iw) + e^(-iw)) e^(-i lam u/2)``,
+    ``log c_0 = -log(1 + l_i)/4 - l_c (1 + eta cos 2w)/2``; ``l_c = 0`` gives
+    the squeezed row, ``l_i = 0`` the coherent one.  Cut at the first K whose
+    residual is below ``tail``, it runs at most to index ``2 max_terms``.
+    """
+    eta = math.sqrt(l_i / (1.0 + l_i))
+    w = lam * (v - 0.5 * u)
+    q = cmath.exp(-0.5j * lam * u)
+    z = math.sqrt(0.5 * l_c) * (eta * cmath.exp(1j * w) + cmath.exp(-1j * w)) * q
+    log_start = -0.25 * math.log1p(l_i) - 0.5 * l_c * (1.0 + eta * math.cos(2.0 * w))
+    nmax = 32
+    while True:
+        nmax = min(2 * nmax, 2 * max_terms)
+        row = hermite_scaled(nmax, z, eta * q * q, log_start)
+        p = np.hypot(row.real, row.imag) ** 2
+        missing = 1.0 - _exact_sum(p, p < _NEGLIGIBLE)
+        # A row whose second half adds nothing is short only by rounding.
+        died = missing < 0.5 and p[nmax // 2 :].sum() < 2.0**-52 * missing
+        if missing < tail or died or nmax == 2 * max_terms:
+            break
+    if not missing < tail:
+        need = "more precision" if died else f"more than max_terms={max_terms} coefficients"
+        raise ToleranceError(
+            f"{kind} ladder not converged: residual {missing:.3g} is not below tail "
+            f"{tail:g} at index {nmax}; it needs {need}"
+        )
+    # The probability beyond each index, summed from the far end to keep its digits.
+    beyond = np.append(np.cumsum(p[:0:-1])[::-1], 0.0)
+    return row[: int(np.argmax(missing + beyond < tail)) + 1]
+
+
+def _ladder(kind: str, spec: MinPacketSpec, tail: float, max_terms: int) -> FockCoefficients:
+    """The stored expansion of ``spec``, the product of a row per circular mode:
+
+        c[min(n_+, n_-), lam (n_+ - n_-)] = e^(i phi) (-1)^min(n_+, n_-) s(n_+) a(n_-)
+
+    For equal senses, ``l_i = 0`` or ``l_c = 0``, ``s`` is the packet's one
+    row and ``a`` the vacuum.  Otherwise ``s`` is the squeezed row in mode
+    ``lam = sign_i`` and ``a`` the coherent row in mode ``-lam``, each cut at
+    ``tail/2``, and ``phi = l_c eta sin(2w)/2``.  ``max_terms`` caps the
+    nonzero amplitudes, checked before the product is formed.
+    """
+    if not (0 < tail < 1):
+        raise InvalidParameterError(f"tail must be in (0, 1), got {tail}")
+    if max_terms < 1:
+        raise InvalidParameterError(f"max_terms must be >= 1, got {max_terms}")
+    l_i, l_c, u, v = spec.l_i_abs, spec.l_c_abs, spec.u, spec.v
+    if l_i == 0 or l_c == 0 or spec.sign_i == spec.sign_c:
+        lam = spec.sign_i if l_i > 0 else spec.sign_c
+        rows, phase = (_row(kind, l_i, l_c, lam, u, v, tail, max_terms), np.ones(1)), 1.0
+    else:
+        lam = spec.sign_i
+        rows = (_row(kind, l_i, 0.0, lam, u, v, 0.5 * tail, max_terms),
+                _row(kind, 0.0, l_c, -lam, u, v, 0.5 * tail, max_terms))
+        phase = cmath.exp(0.5j * l_c * spec.eta * math.sin(2.0 * spec.w))
+    n_plus, n_minus = (np.flatnonzero(row) for row in rows)
+    if n_plus.size * n_minus.size > max_terms:
+        raise ToleranceError(
+            f"{kind} ladder needs {n_plus.size * n_minus.size} coefficients to bring its "
+            f"residual below tail {tail:g}, more than max_terms={max_terms}"
+        )
+    c = np.outer(phase * rows[0][n_plus], rows[1][n_minus])
+    n_r = np.minimum.outer(n_plus, n_minus)
+    c[n_r % 2 == 1] *= -1.0
+    kept = c != 0.0  # products that underflow
+    n_r, m, c = n_r[kept], lam * np.subtract.outer(n_plus, n_minus)[kept], c[kept]
+    p = np.hypot(c.real, c.imag) ** 2
+    residual = 1.0 - _exact_sum(p, p < _NEGLIGIBLE)
+    if not residual < tail:
+        raise ToleranceError(f"{kind} ladder holds residual {residual:.3g}, not below {tail:g}")
+    coeffs = dict(zip(zip(n_r.tolist(), m.tolist()), c.tolist()))
+    return FockCoefficients(kind=kind, coeffs=coeffs, residual=residual)
+
+
+def coherent_coeffs(
+    l_c_abs: float,
+    sign_c: int = 1,
+    v: float = 0.0,
+    tail: float = 1e-12,
+    max_terms: int = 10_000,
+) -> FockCoefficients:
+    """Coefficients of an undeformed packet on a circular orbit.
+
+    Pure Poissonian ladder in the winding number, one row:
+    ``c[0, sign_c k] = l_c^(k/2)/sqrt(k!) exp(-l_c/2) exp(-i k sign_c v)``.
+    """
+    spec = MinPacketSpec(l_i_abs=0.0, l_c_abs=l_c_abs, sign_c=sign_c, v=v)
+    return _ladder("coherent", spec, tail, max_terms)
+
+
+def squeezed_coeffs(
+    l_i_abs: float,
+    sign_i: int = 1,
+    u: float = 0.0,
+    tail: float = 1e-12,
+    max_terms: int = 10_000,
+) -> FockCoefficients:
+    """Coefficients of a centered rotating packet (no orbital motion).
+
+    Only even windings of one sense appear, in one row:
+    ``c[0, 2k sign_i] = (-1)^k (1-eta^2)^(1/4) eta^k sqrt((2k)!)/(2^k k!)
+    exp(-i k sign_i u)``.
+    """
+    spec = MinPacketSpec(l_i_abs=l_i_abs, sign_i=sign_i, u=u)
+    return _ladder("squeezed", spec, tail, max_terms)
+
+
+def corotating_coeffs(
+    spec: MinPacketSpec, tail: float = 1e-12, max_terms: int = 10_000
+) -> FockCoefficients:
+    """Coefficients of a packet whose center orbits with its internal rotation.
+
+    All population sits at radial index zero, in one row:
+
+        c[0, sign k] = (1-eta^2)^(1/4) eta^(k/2) exp(-i sign u k / 2)
+                       * H_k(B)/sqrt(2^k k!) * exp(-l_c (1 + eta cos 2w)/2)
+
+    with the complex Hermite argument
+    ``B = (eta e^(iw) + e^(-iw)) sqrt(l_c / (2 eta))``, computed with the
+    factor ``eta^(k/2)`` inside the recurrence so that no ``H_k(B)`` is
+    formed.
+    """
+    if spec.l_i_abs > 0 and spec.l_c_abs > 0 and spec.sign_i != spec.sign_c:
+        raise InvalidParameterError(
+            "corotating expansion needs matching senses; use antirotating_coeffs"
+        )
+    return _ladder("corotating", spec, tail, max_terms)
+
+
 def antirotating_coeffs(
     spec: MinPacketSpec, tail: float = 1e-12, max_terms: int = 10_000
 ) -> FockCoefficients:
@@ -313,95 +335,14 @@ def antirotating_coeffs(
         * l_c^(|m|/2) e^(i lam |m| v) H_n(0)               for m < 0
 
     so only terms with ``m + n`` even (for m >= 0) or n even (for m < 0)
-    survive.
-
-    The ladder is filled on a grid ``0 <= n <= n_max``, ``|m| <= m_span``
-    that starts at ``n_max = m_span = 16`` and doubles both until the stored
-    probability is within ``tail`` of one or the grid has at least
-    ``max_terms`` computed cells; the whole last grid is stored.
-    ``max_terms`` therefore counts grid cells, of which about half vanish,
-    not stored terms.  Only the cells the formula can fill are computed:
-    ``l_c = 0`` leaves ``m >= 0``, ``l_i = 0`` leaves ``m <= 0``, and
-    either leaves the single row ``n = 0`` of :func:`squeezed_coeffs` and
-    :func:`coherent_coeffs`.  Each grid is computed as arrays, a block of
-    rows at a time: log-magnitudes from a table of log factorials, grown
-    with the grid, on the cells whose Hermite index is even, then the
-    phases.  Terms whose magnitude underflows to zero are not stored.  Keys
-    are ``(n, lam * m)`` in the order of n, then of m from ``-m_span`` up.
+    survive.  It is the outer product of the squeezed row in mode ``lam``
+    and the coherent row in mode ``-lam``.
     """
-    _truncation(tail, max_terms)
     if spec.l_i_abs > 0 and spec.l_c_abs > 0 and spec.sign_i != -spec.sign_c:
         raise InvalidParameterError(
             "antirotating expansion needs opposite senses; use corotating_coeffs"
         )
-    lam = spec.sign_i if spec.l_i_abs > 0 else -spec.sign_c
-    eta = spec.eta
-    l_c = spec.l_c_abs
-    w = lam * (spec.v - 0.5 * spec.u)
-    # Per-cell log-magnitude and phase, in the order of the formula above:
-    # log_mag = log_pref + n log_b1 - (log n! + log (n+|m|)!)/2
-    #           + |m| log_m/2 + log |H_k(0)|
-    # phase = phi + n (pi + w) + m dphase_m.
-    log_pref = 0.25 * math.log(1.0 - eta**2) - 0.5 * l_c
-    phi = 0.5 * l_c * eta * math.sin(2.0 * w)
-    # A zero B1 leaves only the n = 0 row, a zero eta only m <= 0, and a
-    # zero l_c only m >= 0; the logs of those zeros are then never used.
-    log_b1 = 0.5 * math.log(l_c * eta / 2.0) if l_c * eta > 0 else 0.0
-    log_m_pos = math.log(eta / 2.0) if eta > 0 else 0.0
-    log_m_neg = math.log(l_c) if l_c > 0 else 0.0
-    dphase_pos = -(0.5 * lam * spec.u)
-    dphase_neg = -lam * spec.v
-
-    n_max, m_span = 16, 16
-    log_fact = np.empty(0)
-    while True:
-        windings = np.arange(-m_span, m_span + 1)
-        if eta == 0.0:
-            windings = windings[windings <= 0]
-        if l_c == 0.0:
-            windings = windings[windings >= 0]
-        rows = n_max + 1 if l_c * eta > 0 else 1
-        # Factorial and Hermite indices reach (rows - 1) + m_span.
-        if log_fact.size < rows + m_span:
-            log_fact = np.append(
-                log_fact, [math.lgamma(k + 1) for k in range(log_fact.size, rows + m_span)]
-            )
-        blocks: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque()
-        for first in range(0, rows, _ROW_BLOCK):
-            n_block = np.arange(first, min(first + _ROW_BLOCK, rows))[:, None]
-            hermite = np.where(windings >= 0, n_block + windings, n_block)
-            n_idx, m_idx = np.nonzero(hermite % 2 == 0)
-            n, m, k = n_block[n_idx, 0], windings[m_idx], hermite[n_idx, m_idx]
-            m_abs = np.abs(m)
-            positive = m >= 0
-            log_mag = (
-                log_pref
-                + n * log_b1
-                - 0.5 * (log_fact[n] + log_fact[n + m_abs])
-                + 0.5 * m_abs * np.where(positive, log_m_pos, log_m_neg)
-                + (log_fact[k] - log_fact[k // 2])
-            )
-            amp = np.exp(log_mag)
-            amp[(k // 2) % 2 == 1] *= -1.0
-            kept = amp != 0.0
-            n, m, amp, positive = n[kept], m[kept], amp[kept], positive[kept]
-            phase = phi + n * (math.pi + w) + m * np.where(positive, dphase_pos, dphase_neg)
-            c = np.empty(amp.shape, dtype=complex)
-            c.real = amp * np.cos(phase)
-            c.imag = amp * np.sin(phase)
-            blocks.append((n, lam * m, c))
-        probabilities = np.concatenate([np.abs(c) ** 2 for _, _, c in blocks])
-        total = _exact_sum(probabilities, probabilities < _NEGLIGIBLE)
-        if 1.0 - total < tail or rows * windings.size >= max_terms:
-            break
-        n_max *= 2
-        m_span *= 2
-    # Only the last grid becomes a dict, one block at a time.
-    coeffs: Dict[Tuple[int, int], complex] = {}
-    while blocks:
-        n, m, c = blocks.popleft()
-        coeffs.update(zip(zip(n.tolist(), m.tolist()), c.tolist()))
-    return FockCoefficients(kind="antirotating", coeffs=coeffs, residual=1.0 - total)
+    return _ladder("antirotating", spec, tail, max_terms)
 
 
 def fock_coefficients(
@@ -409,19 +350,15 @@ def fock_coefficients(
 ) -> FockCoefficients:
     """Expansion coefficients of any minimal packet, dispatching on senses.
 
-    Co-rotating packets with l_i, l_c > 0 use :func:`corotating_coeffs`
-    (``max_terms`` caps the terms); all others, as "coherent" (l_i = 0),
-    "squeezed" (l_c = 0) or "antirotating", the lattice of
-    :func:`antirotating_coeffs` (``max_terms`` is a cell budget).
+    The ``kind`` is "coherent" (l_i = 0), "squeezed" (l_c = 0), "corotating"
+    or "antirotating".  For every family the residual is below ``tail`` and
+    ``max_terms`` caps the stored coefficients; a ladder that needs more
+    raises :class:`ToleranceError`.
     """
-    if spec.l_i_abs > 0 and spec.l_c_abs > 0 and spec.sign_i == spec.sign_c:
-        return corotating_coeffs(spec, tail, max_terms)
-    out = antirotating_coeffs(spec, tail, max_terms)
-    if spec.l_i_abs == 0:
-        return replace(out, kind="coherent")
-    if spec.l_c_abs == 0:
-        return replace(out, kind="squeezed")
-    return out
+    if spec.l_i_abs == 0 or spec.l_c_abs == 0:
+        return _ladder("coherent" if spec.l_i_abs == 0 else "squeezed", spec, tail, max_terms)
+    kind = "corotating" if spec.sign_i == spec.sign_c else "antirotating"
+    return _ladder(kind, spec, tail, max_terms)
 
 
 def generating_function(spec: MinPacketSpec, z: float) -> float:

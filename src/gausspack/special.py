@@ -32,29 +32,39 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def hermite_scaled(nmax: int, z: complex) -> np.ndarray:
-    """Hermite polynomials divided by the oscillator norm, ``H_k(z)/sqrt(2^k k!)``.
+def hermite_scaled(
+    nmax: int, z: complex, zeta: complex = 1.0, log_start: float = 0.0
+) -> np.ndarray:
+    """Scaled Hermite recurrence ``h_0..h_nmax`` for complex ``z`` and ``zeta``.
 
-    Returns an array of length ``nmax + 1`` with entries for k = 0..nmax.
-    The argument may be complex; the recurrence
+        h_0 = exp(log_start),   h_{k+1} = (sqrt(2) z h_k - zeta sqrt(k) h_{k-1}) / sqrt(k+1)
 
-        h_{k+1} = z * sqrt(2/(k+1)) * h_k - sqrt(k/(k+1)) * h_{k-1}
-
-    follows from the standard ``H_{k+1} = 2 z H_k - 2 k H_{k-1}`` after
-    rescaling, and keeps intermediate values bounded for moderate ``|z|``.
+    With the defaults ``h_k = H_k(z)/sqrt(2^k k!)``; with ``zeta = q^2`` it is
+    ``h_0 q^k H_k(z/q)/sqrt(2^k k!)``, every ladder row of :mod:`gausspack.fock`.
+    The running pair is rescaled by a power of two, kept as an exponent, when
+    it leaves ``[2^-400, 2^400]``: an underflowing start or a growing row stays
+    finite (for ``|z|, |zeta| < 2^600``); only returned values round to zero or
+    inf.  Until a rescale the arithmetic is the plain recurrence.  ``|log_start|``
+    must be below ``2^32``, where its own rounding reaches 1e-6 relative.
     """
     if nmax < 0:
         raise InvalidParameterError(f"nmax must be >= 0, got {nmax}")
-    out = np.empty(nmax + 1, dtype=complex)
-    out[0] = 1.0
-    if nmax == 0:
-        return out
-    out[1] = z * math.sqrt(2.0)
-    for k in range(1, nmax):
-        out[k + 1] = z * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(
-            k / (k + 1.0)
-        ) * out[k - 1]
-    return out
+    if not abs(log_start) < 2.0**32:
+        raise InvalidParameterError(f"log_start must be finite and below 2^32, got {log_start}")
+    ln2 = math.log(2.0)
+    shift = round(log_start / ln2)
+    prev, cur = 0.0, math.exp(log_start - shift * ln2)
+    values, shifts = [cur], [shift]
+    k = np.arange(nmax)
+    for grow, fall in zip(np.sqrt(2.0 / (k + 1)).tolist(), np.sqrt(k / (k + 1.0)).tolist()):
+        prev, cur = cur, z * grow * cur - zeta * fall * prev
+        size = abs(cur)
+        if size > 2.0**400 or 0.0 < size < 2.0**-400:
+            step = max(math.frexp(size)[1], -1000)  # a subnormal takes two steps
+            prev, cur, shift = prev * 2.0**-step, cur * 2.0**-step, shift + step
+        values.append(cur)
+        shifts.append(shift)
+    return np.ldexp(np.array(values, complex).view(float), np.repeat(shifts, 2)).view(complex)
 
 
 def hermite_zero(k: int) -> float:

@@ -208,27 +208,31 @@ class TestExpand:
             log_poisson = -2000.0 + k * math.log(2000.0) - math.lgamma(k + 1)
             assert math.log(probs[k]) == pytest.approx(log_poisson, abs=1e-10)
 
-    @pytest.mark.parametrize("argv, residual, count", [
-        (["--Li", "0", "--Lc", "1e5"], "residual 1 ", "0 coefficients"),
-        (["--Li", "1e4"], "residual 0.201", "8193 coefficients"),
-        (["--Li", "0.5", "--Lc", "0.9", "--co", "--max-terms", "3"], "residual 0.0878",
-         "3 coefficients"),
+    @pytest.mark.parametrize("argv, residual, budget", [
+        (["--Li", "0", "--Lc", "1e5"], "residual 1 ", "max_terms=10000 "),
+        (["--Li", "1e4"], "residual 0.157", "max_terms=10000 "),
+        (["--Li", "0.5", "--Lc", "0.9", "--co", "--max-terms", "3"], "residual 0.012",
+         "max_terms=3 "),
     ], ids=["coherent-underflow", "squeezed-budget", "corotating-budget"])
-    def test_unconverged_ladder_exits_1(self, capsys, tmp_path, argv, residual, count):
+    def test_unconverged_ladder_exits_1(self, capsys, tmp_path, argv, residual, budget):
         target = tmp_path / "ladder.json"
         code, out, err = run_cli(capsys, "expand", *argv, "--out", str(target))
         assert code == 1 and out == "" and not target.exists()
-        assert "error:" in err and residual in err and count in err
+        assert "error:" in err and "not converged" in err and residual in err and budget in err
 
     def test_ladder_meeting_its_tail_exits_0(self, capsys):
         doc = run_json(capsys, "expand", "--Li", "0.5", "--Lc", "0.9", "--co",
                        "--max-terms", "3", "--tail", "0.09")
         assert doc["n_coefficients"] == 3 and doc["residual"] < 0.09
 
-    def test_corotating_overflow_exits_1(self, capsys):
-        code, out, err = run_cli(capsys, "expand", "--Li", "0.01", "--Lc", "400", "--co")
-        assert code == 1 and out == ""
-        assert "error:" in err and "index 427" in err
+    def test_wide_corotating_ladders_exit_0(self, capsys):
+        # H_k(B)/sqrt(2^k k!) alone overflows on these ladders before they
+        # hold their probability.
+        for l_i, l_c in ((0.01, 400.0), (0.5, 800.0), (0.5, 2000.0)):
+            doc = run_json(capsys, "expand", "--Li", str(l_i), "--Lc", str(l_c), "--co")
+            assert doc["kind"] == "corotating" and doc["residual"] < 1e-12
+            d1, _ = gp.generating_derivatives(gp.MinPacketSpec(l_i_abs=l_i, l_c_abs=l_c))
+            assert doc["mean_L"] == pytest.approx(gp.HBAR * d1, rel=1e-9)
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "expand", "--Li", "0", "--Lc", "0.8",

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
 import gausspack as gp
@@ -189,18 +190,26 @@ class TestCoefficientFamilies:
             family(value)
 
     def test_corotating_budget_caps_stored_terms(self):
+        # The ladder needs 48 coefficients at tail 1e-12 and 3 at tail 0.2; a
+        # smaller cap raises rather than returning the first max_terms of them.
         spec = MinPacketSpec(l_i_abs=0.5, l_c_abs=1.0, sign_i=1, sign_c=1)
         for max_terms in (1, 4, 10):
-            fc = corotating_coeffs(spec, max_terms=max_terms)
-            assert len(fc.coeffs) == max_terms
-            assert fc.residual > 0.0
+            with pytest.raises(ToleranceError, match=rf"max_terms={max_terms}\b"):
+                corotating_coeffs(spec, max_terms=max_terms)
+        assert len(corotating_coeffs(spec, tail=0.2, max_terms=3).coeffs) == 3
+        with pytest.raises(ToleranceError, match=r"needs 3 coefficients .* max_terms=2$"):
+            corotating_coeffs(spec, tail=0.2, max_terms=2)
 
-    def test_corotating_overflow_raises(self):
-        # |B| = 49 sends H_k(B)/sqrt(2^k k!) past the float range at k = 427,
-        # long before the ladder holds its probability.
-        spec = MinPacketSpec(l_i_abs=0.01, l_c_abs=400.0, sign_i=1, sign_c=1)
-        with pytest.raises(ToleranceError, match="index 427"):
-            fock_coefficients(spec)
+    @pytest.mark.parametrize("l_i, l_c", [(0.01, 400.0), (0.5, 800.0), (0.5, 2000.0)])
+    def test_wide_corotating_ladders_converge(self, l_i, l_c):
+        # H_k(B)/sqrt(2^k k!) alone overflows on these ladders (at k = 427,
+        # 530 and 340), long before the prefactor brings the terms back.
+        spec = MinPacketSpec(l_i_abs=l_i, l_c_abs=l_c, sign_i=1, sign_c=1, u=0.4, v=1.3)
+        fc = fock_coefficients(spec)
+        assert fc.kind == "corotating" and fc.residual < 1e-12
+        mean_l, _ = fc.angular_momentum_stats()
+        d1, _ = generating_derivatives(spec)
+        assert mean_l == pytest.approx(HBAR * d1, rel=1e-9)
 
     def test_truncation_validation(self):
         spec = MinPacketSpec(l_i_abs=0.5, l_c_abs=0.9, sign_i=1, sign_c=1)
@@ -229,7 +238,7 @@ class TestStatistics:
 
 
 class TestOneRowLadders:
-    """Coherent (l_i = 0), squeezed (l_c = 0) and vacuum ladders are lattice rows."""
+    """Coherent (l_i = 0), squeezed (l_c = 0) and vacuum ladders are single rows."""
 
     def test_wide_coherent_ladder_is_complete(self):
         l_c = 2000.0
@@ -260,11 +269,21 @@ class TestOneRowLadders:
     )
     @pytest.mark.parametrize("tail, max_terms", [(1e-14, 10_000), (1e-12, 20)])
     def test_families_are_lattice_rows(self, spec, kind, family, tail, max_terms):
-        lattice = antirotating_coeffs(spec, tail=tail, max_terms=max_terms)
-        for fc in (fock_coefficients(spec, tail=tail, max_terms=max_terms),
-                   family(spec, tail=tail, max_terms=max_terms)):
-            assert list(fc.coeffs.items()) == list(lattice.coeffs.items())
-            assert fc.residual == lattice.residual
+        # Each family is the n_r = 0 row of the (n_r, m) mode lattice, the row
+        # antirotating_coeffs gives for the same spec.  max_terms caps its
+        # stored coefficients: the squeezed row needs 29 at tail 1e-12, so a
+        # cap of 20 raises in every family.
+        calls = (antirotating_coeffs, fock_coefficients, family)
+        need = len(antirotating_coeffs(spec, tail=tail).coeffs)
+        if need > max_terms:
+            for call in calls:
+                with pytest.raises(ToleranceError, match=rf"max_terms={max_terms}\b"):
+                    call(spec, tail=tail, max_terms=max_terms)
+        else:
+            row, *others = (call(spec, tail=tail, max_terms=max_terms) for call in calls)
+            assert all(n == 0 for n, _ in row.coeffs) and row.residual < tail
+            for fc in others:
+                assert fc.coeffs == row.coeffs and fc.residual == row.residual
         assert family(spec).kind == kind
 
     def test_corotating_limits_keep_their_label(self):
@@ -273,6 +292,27 @@ class TestOneRowLadders:
             fc = corotating_coeffs(spec)
             assert fc.kind == "corotating"
             assert fc.coeffs == antirotating_coeffs(spec).coeffs
+
+
+#: Angular momenta drawn log-uniformly over [1e-6, 5], and angles in [0, 2 pi).
+LOG_UNIFORM_L = st.floats(math.log(1e-6), math.log(5.0)).map(math.exp)
+ANGLE = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+
+
+class TestLadderProperties:
+    @settings(deadline=None)
+    @given(l_i=LOG_UNIFORM_L, l_c=LOG_UNIFORM_L, sign_i=st.sampled_from([1, -1]),
+           sign_c=st.sampled_from([1, -1]), u=ANGLE, v=ANGLE)
+    def test_ladder_is_complete_with_closed_form_mean_and_variance(
+        self, l_i, l_c, sign_i, sign_c, u, v
+    ):
+        spec = MinPacketSpec(l_i_abs=l_i, l_c_abs=l_c, sign_i=sign_i, sign_c=sign_c, u=u, v=v)
+        fc = fock_coefficients(spec)
+        assert fc.residual < 1e-12
+        mean_l, var_l = fc.angular_momentum_stats()
+        assert abs(mean_l - HBAR * spec.l_total) <= 1e-9 * max(1.0, abs(spec.l_total))
+        sigma = gp.sigma_l(spec)
+        assert abs(var_l - sigma) <= 1e-8 * max(1.0, sigma)
 
 
 def fsum_statistics(fc, omega: float) -> tuple[float, ...]:
@@ -367,13 +407,12 @@ class TestAsymptotics:
             pk_asymptotic(1.0, 1.0, -1)
 
 
-def reference_antirotating(spec: MinPacketSpec, tail: float = 1e-12,
-                           max_terms: int = 10_000) -> tuple[dict, float]:
-    """The antirotating ladder computed one element at a time.
+def reference_antirotating(spec: MinPacketSpec, n: int, winding: int) -> complex:
+    """The antirotating coefficient at ``(n, winding)``, one element at a time.
 
-    The scalar form of the formula in ``antirotating_coeffs``, with the same
-    grid doubling and stopping rule, whose budget counts the cells the
-    engine computes: ``(coeffs, residual)``.
+    The scalar form of the closed formula in ``antirotating_coeffs``: log
+    factorials, ``log |H_k(0)|`` and the phase, with zero where the formula
+    vanishes.  It covers the centered and circular limits as well.
     """
     lam = spec.sign_i if spec.l_i_abs > 0 else -spec.sign_c
     eta = spec.eta
@@ -382,54 +421,37 @@ def reference_antirotating(spec: MinPacketSpec, tail: float = 1e-12,
     phi = 0.5 * l_c * eta * math.sin(2.0 * w)
     log_quart = 0.25 * math.log(1.0 - eta**2)
     log_b1 = 0.5 * (math.log(l_c * eta / 2.0)) if l_c * eta > 0 else -math.inf
-
-    def coefficient(n: int, m: int) -> complex:
-        if m >= 0:
-            sign_h, log_h = hermite_zero_log(m + n)
-            if sign_h == 0 or (eta == 0.0 and m > 0):
-                return 0.0
-            log_mag = (
-                log_quart
-                - 0.5 * l_c
-                + (n * log_b1 if n else 0.0)
-                - 0.5 * (log_factorial(n) + log_factorial(n + m))
-                + (0.5 * m * math.log(eta / 2.0) if m else 0.0)
-                + log_h
-            )
-            phase = phi + n * (math.pi + w) - 0.5 * lam * spec.u * m
-        else:
-            sign_h, log_h = hermite_zero_log(n)
-            if sign_h == 0 or (l_c == 0.0 and m < 0):
-                return 0.0
-            m_abs = -m
-            log_mag = (
-                log_quart
-                - 0.5 * l_c
-                + (n * log_b1 if n else 0.0)
-                - 0.5 * (log_factorial(n) + log_factorial(n + m_abs))
-                + 0.5 * m_abs * math.log(l_c)
-                + log_h
-            )
-            phase = phi + n * (math.pi + w) + lam * m_abs * spec.v
-        if log_mag == -math.inf:
+    m = lam * winding
+    if m >= 0:
+        sign_h, log_h = hermite_zero_log(m + n)
+        if sign_h == 0 or (eta == 0.0 and m > 0):
             return 0.0
-        return sign_h * math.exp(log_mag) * cmath.exp(1j * phase)
-
-    n_max, m_span = 16, 16
-    while True:
-        coeffs = {}
-        for n in range(n_max + 1):
-            for m in range(-m_span, m_span + 1):
-                c = coefficient(n, m)
-                if c != 0.0:
-                    coeffs[(n, lam * m)] = c
-        total = math.fsum(abs(c) ** 2 for c in coeffs.values())
-        rows = n_max + 1 if l_c * eta > 0 else 1
-        width = 1 + (m_span if eta > 0 else 0) + (m_span if l_c > 0 else 0)
-        if 1.0 - total < tail or rows * width >= max_terms:
-            return coeffs, 1.0 - total
-        n_max *= 2
-        m_span *= 2
+        log_mag = (
+            log_quart
+            - 0.5 * l_c
+            + (n * log_b1 if n else 0.0)
+            - 0.5 * (log_factorial(n) + log_factorial(n + m))
+            + (0.5 * m * math.log(eta / 2.0) if m else 0.0)
+            + log_h
+        )
+        phase = phi + n * (math.pi + w) - 0.5 * lam * spec.u * m
+    else:
+        sign_h, log_h = hermite_zero_log(n)
+        if sign_h == 0 or l_c == 0.0:
+            return 0.0
+        m_abs = -m
+        log_mag = (
+            log_quart
+            - 0.5 * l_c
+            + (n * log_b1 if n else 0.0)
+            - 0.5 * (log_factorial(n) + log_factorial(n + m_abs))
+            + 0.5 * m_abs * math.log(l_c)
+            + log_h
+        )
+        phase = phi + n * (math.pi + w) + lam * m_abs * spec.v
+    if log_mag == -math.inf:
+        return 0.0
+    return sign_h * math.exp(log_mag) * cmath.exp(1j * phase)
 
 
 def anti_spec(l_i, l_c, sign_i=1, u=0.7, v=2.1):
@@ -445,18 +467,28 @@ BENCH_STRATA = (
     (0.9, 0.5, 5.5, 3.3, 1),
 )
 
+EPS = np.finfo(float).eps
+
 
 class TestAntirotatingEngine:
-    """The array engine reproduces the per-element formula cell for cell."""
+    """The product of two rows reproduces the per-element formula cell for cell."""
 
     @staticmethod
     def assert_same_ladder(spec, tail=1e-12, max_terms=10_000):
+        """Every stored cell matches the closed form, and the ladder is complete.
+
+        The rows' recurrence and the reference's log factorials each round
+        once per quantum, so a cell with ``n_+ + n_- = 2n + |winding|``
+        quanta may deviate by ``8 eps`` per quantum, relative.  Both sides
+        also exponentiate a log-magnitude (``-l_c/2`` and beyond), whose
+        rounding is relative to its size, so ``|log |c||`` counts as quanta.
+        """
         fc = antirotating_coeffs(spec, tail=tail, max_terms=max_terms)
-        ref, ref_residual = reference_antirotating(spec, tail, max_terms)
-        assert list(fc.coeffs) == list(ref)
-        for key, c in fc.coeffs.items():
-            assert abs(c - ref[key]) <= 1e-15 * abs(ref[key]), key
-        assert abs(fc.residual - ref_residual) <= 4.4e-16
+        assert fc.residual < tail
+        for (n, winding), c in fc.coeffs.items():
+            ref = reference_antirotating(spec, n, winding)
+            quanta = 2 * n + abs(winding) + 1 + abs(math.log(abs(ref)))
+            assert abs(c - ref) <= 8 * EPS * quanta * abs(ref), (n, winding)
         return fc
 
     @pytest.mark.parametrize("l_i, l_c, u, v, sign_i", BENCH_STRATA)
@@ -470,23 +502,30 @@ class TestAntirotatingEngine:
         mean_l, _ = fc.angular_momentum_stats()
         assert mean_l == pytest.approx(HBAR * sign_i * (l_i - 1.5), abs=1e-11)
 
-    def test_capped_ladder_keeps_its_residual(self):
-        # The 10,000-cell cap stops this ladder short of the tail; the
-        # shortfall is reported in the residual, not raised.
-        fc = self.assert_same_ladder(anti_spec(2.0, 0.5), tail=1e-14)
-        assert fc.residual > 1e-14
-        assert len(fc.coeffs) == 16_641
+    @pytest.mark.parametrize("l_i", [2.0, 3.0])
+    def test_ladders_the_grid_capped_are_complete(self, l_i):
+        # A doubling (n_r, m) grid stopped these at 16,641 cells with
+        # residuals 4.1e-13 and 1.0e-9 and returned them without raising.
+        fc = self.assert_same_ladder(anti_spec(l_i, 0.5), tail=1e-14)
+        assert len(fc.coeffs) < 10_000
 
     def test_wide_ladders(self):
-        self.assert_same_ladder(anti_spec(0.01, 400.0), max_terms=40_000)
-        self.assert_same_ladder(anti_spec(20.0, 20.0))
+        self.assert_same_ladder(anti_spec(0.01, 400.0))
+        with pytest.raises(ToleranceError, match=r"needs \d+ coefficients .* max_terms=10000$"):
+            antirotating_coeffs(anti_spec(20.0, 20.0))
+        self.assert_same_ladder(anti_spec(20.0, 20.0), max_terms=40_000)
 
     def test_underflowing_cells_are_not_stored(self):
-        # With l_c = 1e-8 the factor l_c^(n/2) sends most of the 128-row grid
-        # below the smallest double, down to subnormal magnitudes.
-        fc = self.assert_same_ladder(anti_spec(1.0, 1e-8), tail=1e-14)
-        assert len(fc.coeffs) < 16_641 // 2
+        # The coherent row starts at exp(-725), a subnormal; its products with
+        # the small squeezed amplitudes round to zero and are dropped, while
+        # the tiny nonzero ones are kept.
+        spec, tail = anti_spec(1.0, 1450.0), 1e-12
+        fc = antirotating_coeffs(spec, tail=tail, max_terms=100_000)
+        rows = (squeezed_coeffs(1.0, tail=tail / 2), coherent_coeffs(1450.0, -1, tail=tail / 2))
+        assert len(fc.coeffs) < len(rows[0].coeffs) * len(rows[1].coeffs)
+        assert all(c != 0.0 for c in fc.coeffs.values())
         assert min(abs(c) for c in fc.coeffs.values()) < 1e-300
+        assert fc.residual < tail
 
     @pytest.mark.parametrize(
         "spec",
@@ -498,22 +537,35 @@ class TestAntirotatingEngine:
         ],
     )
     def test_unrotated_and_centered_limits(self, spec):
-        fc = self.assert_same_ladder(spec, tail=1e-14)
-        assert fc.residual < 1e-14
+        self.assert_same_ladder(spec, tail=1e-14)
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, top",
         [
-            MinPacketSpec(l_i_abs=0.0, l_c_abs=1.3, sign_c=-1, v=0.4),
-            MinPacketSpec(l_i_abs=0.7, l_c_abs=0.0, sign_i=-1, u=1.9),
+            pytest.param(MinPacketSpec(l_i_abs=0.0, l_c_abs=1.3, sign_c=-1, v=0.4), 17, id="spec0"),
+            pytest.param(MinPacketSpec(l_i_abs=0.7, l_c_abs=0.0, sign_i=-1, u=1.9), None,
+                         id="spec1"),
         ],
     )
-    def test_one_row_budget_counts_computed_cells(self, spec):
-        # The row holds 17 cells at m_span = 16, under a budget of 20, and
-        # 33 at m_span = 32, which stops it.
-        fc = self.assert_same_ladder(spec, tail=1e-14, max_terms=20)
-        assert max(abs(m) for _, m in fc.coeffs) == 32
+    def test_one_row_budget_counts_computed_cells(self, spec, top):
+        # A row computes at most 2 max_terms + 1 = 41 cells (a squeezed row
+        # stores every other one): the coherent row holds its probability in
+        # 18, the squeezed row needs 67 and raises at index 40.
+        if top is None:
+            with pytest.raises(ToleranceError, match="at index 40;"):
+                antirotating_coeffs(spec, tail=1e-14, max_terms=20)
+        else:
+            fc = self.assert_same_ladder(spec, tail=1e-14, max_terms=20)
+            assert max(abs(m) for _, m in fc.coeffs) == top
 
-    def test_single_cell_budget_stops_after_the_first_grid(self):
-        fc = self.assert_same_ladder(anti_spec(0.6, 1.1), max_terms=1)
-        assert max(n for n, _ in fc.coeffs) == 16
+    def test_budget_is_checked_before_the_product(self):
+        spec = anti_spec(0.6, 1.1)
+        squeezed = squeezed_coeffs(0.6, tail=5e-13)
+        coherent = coherent_coeffs(1.1, -1, tail=5e-13)
+        need = len(squeezed.coeffs) * len(coherent.coeffs)
+        message = rf"needs {need} coefficients .* max_terms={need - 1}$"
+        with pytest.raises(ToleranceError, match=message):
+            antirotating_coeffs(spec, max_terms=need - 1)
+        assert len(self.assert_same_ladder(spec, max_terms=need).coeffs) <= need
+        with pytest.raises(ToleranceError, match=r"max_terms=1\b"):
+            antirotating_coeffs(spec, max_terms=1)

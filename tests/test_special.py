@@ -39,6 +39,24 @@ def test_hermite_scaled_complex_argument():
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
+def test_hermite_scaled_row_from_an_underflowing_start():
+    # The Poisson amplitudes l^(k/2) e^(-l/2)/sqrt(k!) at l = 3000 start at
+    # exp(-1500), far below the smallest double; the running exponent keeps
+    # the row exact to its peak, while its first entries round to zero.
+    l = 3000.0
+    row = hermite_scaled(3200, math.sqrt(l / 2.0), 0.0, -l / 2.0)
+    assert row[0] == 0.0
+    for k in (2900, 3000, 3100):
+        log_poisson = -l + k * math.log(l) - math.lgamma(k + 1)
+        assert math.log(abs(row[k]) ** 2) == pytest.approx(log_poisson, abs=1e-10)
+
+
+@pytest.mark.parametrize("log_start", [math.nan, math.inf, -1e300])
+def test_hermite_scaled_refuses_an_unresolvable_start(log_start):
+    with pytest.raises(InvalidParameterError, match="log_start"):
+        hermite_scaled(3, 0.5, 1.0, log_start)
+
+
 def test_hermite_zero_values():
     # H_k(0): zero for odd k, (-1)^j (2j)!/j! for k = 2j.
     assert hermite_zero(0) == 1.0
