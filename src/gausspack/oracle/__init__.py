@@ -13,7 +13,7 @@ from .observables import Observable, momentum_monomial, position_monomial
 from .moments import expectation, norm_integral, wigner_fourth_moment
 from .minimize import MinimizeOutcome, minimize_free
 from .overlap import overlap_integral, overlap_integrals
-from .propagate import propagate_free, propagate_magnetic, propagate_oscillator, fit_gaussian_exponent
+from .propagate import propagate_free, propagate_magnetic, propagate_oscillator
 
 __all__ = [
     "QuadratureSpec",
@@ -32,5 +32,4 @@ __all__ = [
     "propagate_free",
     "propagate_oscillator",
     "propagate_magnetic",
-    "fit_gaussian_exponent",
 ]

@@ -18,6 +18,12 @@ from ..errors import InvalidParameterError
 
 __all__ = ["MinimizeOutcome", "minimize_free"]
 
+#: Nelder-Mead stopping tests on the simplex's values and vertices, and the
+#: evaluation budget of one start.
+_FATOL = 1e-10
+_XATOL = 1e-10
+_MAX_EVALUATIONS = 100_000
+
 
 @dataclass(frozen=True)
 class MinimizeOutcome:
@@ -43,9 +49,6 @@ def minimize_free(
     sample_start: Callable[[np.random.Generator], np.ndarray],
     n_starts: int = 24,
     seed: int = DEFAULT_SEED,
-    fatol: float = 1e-10,
-    xatol: float = 1e-10,
-    max_evaluations: int = 100_000,
 ) -> MinimizeOutcome:
     """Minimize a black-box objective from many random starting points.
 
@@ -79,12 +82,7 @@ def minimize_free(
             objective,
             start,
             method="Nelder-Mead",
-            options={
-                "fatol": fatol,
-                "xatol": xatol,
-                "maxfev": max_evaluations,
-                "adaptive": True,
-            },
+            options={"fatol": _FATOL, "xatol": _XATOL, "maxfev": _MAX_EVALUATIONS, "adaptive": True},
         )
         results.append((float(res.fun), np.asarray(res.x), int(res.nfev)))
 

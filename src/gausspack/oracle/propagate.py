@@ -12,32 +12,25 @@ targets share one partition.  The integrand hands the rule the factors
 ``(A, psi, B)`` rather than their ``(T, n, n)`` product, so a rule pass
 costs one ``psi`` evaluation on the ``n x n`` nodes, ``2 T n``
 exponentials and one ``(T, n) x (n, n)`` matrix product for ``T`` targets.
-``fit_gaussian_exponent`` then recovers packet parameters from sampled
-values by a linear least-squares fit to ``log psi``, giving a closed loop
-that checks analytic evolution laws without sharing any algebra with them.
+The checks compare these values with an evolution law's wavefunction up to
+one phase, so the analytic laws are tested without sharing any algebra with
+the kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..constants import HBAR, MASS
-from ..errors import InvalidParameterError, ToleranceError
+from ..errors import InvalidParameterError
 from ..packet import RealParams, wavefunction
 from .moments import integration_box
 from .quadrature import QuadratureSpec, integrate_adaptive
 
-__all__ = [
-    "propagate_free",
-    "propagate_oscillator",
-    "propagate_magnetic",
-    "FitResult",
-    "fit_gaussian_exponent",
-]
+__all__ = ["propagate_free", "propagate_oscillator", "propagate_magnetic"]
 
 #: Quadrature defaults for propagator integrals: the integrands carry an
 #: oscillatory kernel, so the budget is looser than for moment integrals.
@@ -151,140 +144,3 @@ def propagate_magnetic(
         )
 
     return _propagate(params, factors, quad or _PROP_QUAD)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Outcome of a Gaussian exponent fit.
-
-    ``params`` is the packet reconstructed from the fitted exponent (the
-    global constant, i.e. overall normalization and phase, is discarded);
-    ``residual`` is the worst absolute defect of the quadratic model of
-    ``log psi`` over the sample grid, which for genuinely Gaussian data is
-    limited only by quadrature noise.
-    """
-
-    params: RealParams
-    center: tuple[float, float]
-    spacing: tuple[float, float]
-    residual: float
-
-
-def _grid(
-    center: tuple[float, float], hx: float, hy: float, n: int
-) -> list[tuple[float, float]]:
-    cx, cy = center
-    return [
-        (cx + hx * (i - n), cy + hy * (j - n))
-        for i in range(2 * n + 1)
-        for j in range(2 * n + 1)
-    ]
-
-
-def fit_gaussian_exponent(
-    sample: Callable[[Sequence[tuple[float, float]]], np.ndarray],
-    center_guess: tuple[float, float],
-    sigma_guess: float,
-    mu: float,
-    n: int = 4,
-    max_rescale: int = 6,
-) -> FitResult:
-    """Recover packet parameters from sampled wavefunction values.
-
-    ``sample`` maps a list of (x, y) points to complex wavefunction values.
-    The routine first locates the density centroid and width on a coarse
-    grid around ``center_guess``, then fits ``log psi`` on a finer grid with
-    a full quadratic model and converts the six complex coefficients back
-    to the eleven packet parameters at the given scale ``mu``.
-    """
-    if sigma_guess <= 0 or mu <= 0:
-        raise InvalidParameterError("sigma_guess and mu must be positive")
-
-    # Coarse pass: locate the centroid and measure per-axis widths from
-    # density moments.  A propagated packet can be extremely anisotropic
-    # (one axis through a focus while the other spreads), so each axis gets
-    # its own window, resized until it spans a few measured widths; a
-    # window far wider than the packet would push sample points below the
-    # quadrature noise floor and poison the exponent fit.
-    center = center_guess
-    ext_x = ext_y = 3.0 * sigma_guess
-    for _ in range(2 * max_rescale):
-        pts = _grid(center, ext_x / 3.0, ext_y / 3.0, 3)
-        vals = sample(pts)
-        w = np.abs(vals) ** 2
-        total = float(np.sum(w))
-        if total <= 0:
-            raise ToleranceError("no density found near the requested center")
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        cx = float(np.dot(w, xs) / total)
-        cy = float(np.dot(w, ys) / total)
-        sigma_x = math.sqrt(max(float(np.dot(w, (xs - cx) ** 2) / total), 1e-300))
-        sigma_y = math.sqrt(max(float(np.dot(w, (ys - cy) ** 2) / total), 1e-300))
-        center = (cx, cy)
-        # Aim for a window of six measured widths; the measurement is
-        # biased toward the grid spacing while unresolved, so iterate.
-        ok = True
-        if not (ext_x / 12.0 <= sigma_x <= ext_x / 3.0):
-            ext_x = min(max(6.0 * sigma_x, ext_x / 4.0), 4.0 * ext_x)
-            ok = False
-        if not (ext_y / 12.0 <= sigma_y <= ext_y / 3.0):
-            ext_y = min(max(6.0 * sigma_y, ext_y / 4.0), 4.0 * ext_y)
-            ok = False
-        if ok:
-            break
-    else:
-        raise ToleranceError("could not bracket the packet with the coarse grid")
-
-    # Fine pass: sample a (2n+1)^2 grid and fit the quadratic exponent,
-    # halving a spacing while that axis' phase steps are too big to unwrap.
-    hx = 0.35 * sigma_x
-    hy = 0.35 * sigma_y
-    for _ in range(max_rescale):
-        pts = _grid(center, hx, hy, n)
-        vals = np.asarray(sample(pts)).reshape(2 * n + 1, 2 * n + 1)
-        phase = np.angle(vals)
-        steps = [np.diff(phase, axis=0), np.diff(phase, axis=1)]
-        wrapped = [(s + math.pi) % (2.0 * math.pi) - math.pi for s in steps]
-        fast_x = float(np.max(np.abs(wrapped[0]))) >= 0.45 * math.pi
-        fast_y = float(np.max(np.abs(wrapped[1]))) >= 0.45 * math.pi
-        if not fast_x and not fast_y:
-            break
-        if fast_x:
-            hx *= 0.5
-        if fast_y:
-            hy *= 0.5
-    else:
-        raise ToleranceError("phase varies too fast to unwrap on the fit grid")
-
-    phase = np.unwrap(np.unwrap(phase, axis=0), axis=1)
-    logs = (np.log(np.abs(vals)) + 1j * phase).ravel()
-
-    dx = np.repeat(np.array([hx * (k - n) for k in range(2 * n + 1)]), 2 * n + 1)
-    dy = np.tile(np.array([hy * (k - n) for k in range(2 * n + 1)]), 2 * n + 1)
-    design = np.column_stack(
-        [np.ones_like(dx), dx, dy, dx**2, dx * dy, dy**2]
-    ).astype(complex)
-    coeffs, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    residual = float(np.max(np.abs(design @ coeffs - logs)))
-
-    _, lin_x, lin_y, q_xx, q_xy, q_yy = coeffs
-    cx, cy = center
-    # Shift the linear coefficients from grid-relative to absolute coordinates.
-    lin_x_abs = lin_x - 2.0 * q_xx * cx - q_xy * cy
-    lin_y_abs = lin_y - 2.0 * q_yy * cy - q_xy * cx
-
-    fitted = RealParams(
-        mu=mu,
-        alpha=-2.0 * q_xx.real / mu,
-        beta=-q_xy.real / mu,
-        gamma=-2.0 * q_yy.real / mu,
-        chi_a=-q_xx.imag / mu,
-        chi_c=-q_yy.imag / mu,
-        rho=-q_xy.imag / mu,
-        f1=lin_x_abs.real,
-        f2=lin_x_abs.imag,
-        g1=lin_y_abs.real,
-        g2=lin_y_abs.imag,
-    )
-    return FitResult(params=fitted, center=center, spacing=(hx, hy), residual=residual)

@@ -17,9 +17,7 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "hermite_scaled",
-    "hermite_zero",
     "hermite_zero_log",
-    "laguerre_assoc",
     "laguerre_assoc_all",
     "log_factorial",
 ]
@@ -43,8 +41,10 @@ def hermite_scaled(
     ``h_0 q^k H_k(z/q)/sqrt(2^k k!)``, every ladder row of :mod:`gausspack.fock`.
     The running pair is rescaled by a power of two, kept as an exponent, when
     it leaves ``[2^-400, 2^400]``: an underflowing start or a growing row stays
-    finite (for ``|z|, |zeta| < 2^600``); only returned values round to zero or
-    inf.  Until a rescale the arithmetic is the plain recurrence.  ``|log_start|``
+    finite (for ``|z|, |zeta| < 2^600``); returned values may round to zero,
+    and a row whose values pass the float range raises
+    :class:`InvalidParameterError` naming the first such index.  Until a
+    rescale the arithmetic is the plain recurrence.  ``|log_start|``
     must be below ``2^32``, where its own rounding reaches 1e-6 relative.
     """
     if nmax < 0:
@@ -64,23 +64,15 @@ def hermite_scaled(
             prev, cur, shift = prev * 2.0**-step, cur * 2.0**-step, shift + step
         values.append(cur)
         shifts.append(shift)
-    return np.ldexp(np.array(values, complex).view(float), np.repeat(shifts, 2)).view(complex)
-
-
-def hermite_zero(k: int) -> float:
-    """Value of the physicists' Hermite polynomial at the origin.
-
-    ``H_k(0)`` vanishes for odd k and equals ``(-1)^j (2j)!/j!`` for k = 2j.
-    The ratio is an integer, computed exactly and rounded once on
-    conversion; for indices beyond float range use ``hermite_zero_log``.
-    """
-    if k < 0:
-        raise InvalidParameterError(f"index must be >= 0, got {k}")
-    if k % 2:
-        return 0.0
-    j = k // 2
-    value = math.factorial(2 * j) // math.factorial(j)
-    return float(-value if j % 2 else value)
+    with np.errstate(over="ignore"):
+        parts = np.ldexp(np.array(values, complex).view(float), np.repeat(shifts, 2))
+    overflow = np.flatnonzero(np.isinf(parts))
+    if overflow.size:
+        raise InvalidParameterError(
+            f"scaled Hermite value h_{overflow[0] // 2} of the row to {nmax} "
+            "leaves the float range"
+        )
+    return parts.view(complex)
 
 
 def hermite_zero_log(k: int) -> tuple[int, float]:
@@ -96,15 +88,6 @@ def hermite_zero_log(k: int) -> tuple[int, float]:
     j = k // 2
     sign = -1 if j % 2 else 1
     return sign, math.lgamma(2 * j + 1) - math.lgamma(j + 1)
-
-
-def laguerre_assoc(n: int, m: float, x) -> np.ndarray | float:
-    """Associated Laguerre polynomial ``L_n^(m)(x)``.
-
-    Vectorized over ``x``.  Uses the usual three-term recurrence upward in n,
-    which is stable for the non-negative ``m`` encountered here.
-    """
-    return laguerre_assoc_all(n, m, x)[n]
 
 
 def laguerre_assoc_all(nmax: int, m: float, x) -> np.ndarray:

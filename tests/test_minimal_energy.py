@@ -5,6 +5,7 @@ import pytest
 
 import gausspack as gp
 from gausspack import HBAR, InvalidParameterError, MinPacketSpec
+from gausspack import verify as verify_module
 
 
 def spec_grid():
@@ -168,3 +169,27 @@ class TestMinimumSearch:
             gp.verify_minimum(math.nan)
         with pytest.raises(InvalidParameterError, match="omega"):
             gp.verify_minimum(1.0, omega=math.nan)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"l_c_abs": "1"}, "l_c_abs"),
+            ({"l_c_abs": True}, "l_c_abs"),
+            ({"l_c_abs": math.nan}, "l_c_abs"),
+            ({"l_c_abs": math.inf}, "l_c_abs"),
+            ({"l_c_abs": -1.0}, "l_c_abs"),
+            ({"l_c_abs": 1.0, "omega": math.nan}, "omega"),
+            ({"l_c_abs": 1.0, "omega": math.inf}, "omega"),
+            ({"l_c_abs": 1.0, "omega": 0.0}, "omega"),
+            ({"l_c_abs": 1.0, "mass": math.nan}, "mass"),
+            ({"l_c_abs": 1.0, "mass": -math.inf}, "mass"),
+            ({"l_c_abs": 1.0, "mass": -2.0}, "mass"),
+        ],
+    )
+    def test_center_search_rejects_bad_arguments_before_searching(self, monkeypatch, kwargs, name):
+        def no_search(*_args, **_kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(verify_module, "minimize_free", no_search)
+        with pytest.raises(InvalidParameterError, match=name):
+            gp.verify_center_minimum(**kwargs)

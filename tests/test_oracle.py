@@ -28,7 +28,6 @@ from gausspack.oracle import moments as moments_module
 from gausspack.oracle import propagate as propagate_module
 from gausspack.oracle.overlap import overlap_integral, overlap_integrals
 from gausspack.oracle.propagate import (
-    fit_gaussian_exponent,
     propagate_free,
     propagate_magnetic,
     propagate_oscillator,
@@ -596,23 +595,3 @@ class TestFactoredRulePasses:
         assert factored_passes == sorted(passes)
         # Relative to the largest value: the focused packet is ~1e-7 at the far probes.
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-class TestExponentFit:
-    def test_round_trip_on_analytic_packet(self):
-        def sample(pts):
-            arr = np.array(pts)
-            return gp.wavefunction(GENERIC, arr[:, 0], arr[:, 1])
-
-        fit = fit_gaussian_exponent(sample, center_guess=(0.0, 0.0),
-                                    sigma_guess=0.8, mu=GENERIC.mu)
-        assert fit.residual < 1e-10
-        assert fit.params.to_dict() == pytest.approx(GENERIC.to_dict(), abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            fit_gaussian_exponent(lambda pts: np.ones(len(pts)), (0.0, 0.0), -1.0, 1.0)
-        with pytest.raises(ToleranceError):
-            fit_gaussian_exponent(
-                lambda pts: np.zeros(len(pts)), (0.0, 0.0), 1.0, 1.0
-            )
