@@ -1,12 +1,13 @@
 """One validation and JSON policy for the package's input records.
 
-Packets, minimal-packet specs, evolution contexts and oscillator modes are
-frozen dataclasses that mix in :class:`Record`.  Their fields are checked by
-type: a ``float`` field takes any real number (an ``int``, a ``float``, a
-NumPy real scalar or another :class:`numbers.Real`) and stores it as a
-finite ``float``; an ``int`` field takes an integer-valued real and stores
-an ``int``.  ``bool``, strings, ``None``, complex and non-finite values are
-refused with :class:`~gausspack.errors.InvalidParameterError`.  Each record's JSON form
+Packets, minimal-packet specs, evolution contexts, oscillator modes and the
+oracle's quadrature specs are frozen dataclasses that mix in
+:class:`Record`.  Their fields are checked by type: a ``float`` field takes
+any real number (an ``int``, a ``float``, a NumPy real scalar or another
+:class:`numbers.Real`) and stores it as a finite ``float``; an ``int``
+field takes an integer-valued real and stores an ``int``.  ``bool``,
+strings, ``None``, complex and non-finite values are refused with
+:class:`~gausspack.errors.InvalidParameterError`.  Each record's JSON form
 has one key per field, named by the field's ``metadata["json"]`` (by
 default the attribute name); reading one needs every key and no other.
 """

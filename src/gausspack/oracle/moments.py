@@ -8,13 +8,20 @@ closed-form moment.  ``wigner_fourth_moment`` integrates products of four
 phase-space coordinates against a centered Gaussian with a given covariance
 using tensor Gauss-Hermite quadrature; it never invokes the pairing formula
 it is used to validate.
+
+A packet's moment integrals all bisect the same box, so their rule passes
+land on the same node grids.  The density there and the powers of the node
+axes do not depend on the observable: ``expectation`` and
+``norm_integral`` compute them once per grid and share them across the
+packet's integrals, up to ``_MAX_GRIDS`` grids, with bit-for-bit the same
+arithmetic as a fresh pass.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -107,6 +114,58 @@ def integration_box(
     return (x0 - hw, x0 + hw, y0 - hw, y0 + hw)
 
 
+#: Node grids kept per packet.  Past it, a rule pass computes its density
+#: and node powers afresh and stores nothing, which bounds the memory of an
+#: integral that refines deeply (up to about 2.4 MB of 48-point grids).
+_MAX_GRIDS = 128
+
+
+class _Grid(NamedTuple):
+    rho: np.ndarray  # density on the open node grid, (n, n), read-only
+    vx: np.ndarray  # x^0 ... x^(k-1) on the x nodes, (n, k)
+    vy: np.ndarray  # the same on the y nodes
+
+
+@lru_cache(maxsize=1)
+def _panels(params: RealParams) -> dict[tuple[bytes, bytes], _Grid]:
+    """The shared grids of one packet, keyed by the bytes of their node axes.
+
+    Only the latest packet is held, so a new packet frees the previous one's
+    grids; a caller fetches the dict once per integral, so an eviction
+    mid-integral cannot mix two packets.
+    """
+    return {}
+
+
+def _grid(
+    params: RealParams,
+    panels: dict[tuple[bytes, bytes], _Grid],
+    x: np.ndarray,
+    y: np.ndarray,
+    width: int,
+) -> _Grid:
+    """The pass's density and at least ``width`` powers of each node axis.
+
+    ``np.vander`` builds its columns by a running product, so the first
+    columns of a wider table are bit-identical to a narrower one.
+    """
+    key = (x[:, 0].tobytes(), y[0].tobytes())
+    grid = panels.get(key)
+    if grid is not None and grid.vx.shape[1] >= width:
+        return grid
+    if grid is None:
+        rho = density(params, x[:, :1], y[:1, :])
+        rho.flags.writeable = False
+    else:
+        rho = grid.rho
+    fresh = _Grid(
+        rho, np.vander(x[:, 0], width, increasing=True), np.vander(y[0], width, increasing=True)
+    )
+    if grid is not None or len(panels) < _MAX_GRIDS:
+        panels[key] = fresh
+    return fresh
+
+
 def expectation(
     params: RealParams,
     obs: Observable,
@@ -116,31 +175,38 @@ def expectation(
     """Quadrature value of ``<psi| O |psi>`` for a normal-ordered observable.
 
     On each rule pass the polynomial is one matrix product over the node
-    axes, ``(x^i) @ C @ (y^j)^T``, times the density on the open grid.
+    axes, ``(x^i) @ C @ (y^j)^T``, times the density on the open grid.  The
+    density and the node powers are computed once per grid and shared with
+    the packet's other integrals (see the module notes); the values are
+    bit-for-bit those of a fresh pass.
     """
     quad = quad or QuadratureSpec()
     coeffs = _coefficient_matrix(_observable_polynomial(params, obs))
     n_x, n_y = coeffs.shape
+    width = max(n_x, n_y)
     if box is None:
         box = integration_box(params, quad.half_width_sigmas)
+    panels = _panels(params)
 
     def integrand(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        values = (
-            np.vander(x[:, 0], n_x, increasing=True)
-            @ coeffs
-            @ np.vander(y[0], n_y, increasing=True).T
-        )
-        values *= density(params, x[:, :1], y[:1, :])  # in place: one (n, n) array per pass
+        grid = _grid(params, panels, x, y, width)
+        values = grid.vx[:, :n_x] @ coeffs @ grid.vy[:, :n_y].T
+        values *= grid.rho  # in place: one (n, n) array per pass
         return values
 
     return integrate_adaptive(integrand, box, quad)
 
 
 def norm_integral(params: RealParams, quad: QuadratureSpec | None = None) -> float:
-    """Total probability by quadrature; should be 1 for any valid packet."""
+    """Total probability by quadrature; should be 1 for any valid packet.
+
+    The density on each grid is shared with the packet's ``expectation``
+    integrals, as computed once per grid.
+    """
     quad = quad or QuadratureSpec()
     box = integration_box(params, quad.half_width_sigmas)
-    return integrate_adaptive(lambda x, y: density(params, x[:, :1], y[:1, :]), box, quad).real
+    panels = _panels(params)
+    return integrate_adaptive(lambda x, y: _grid(params, panels, x, y, 0).rho, box, quad).real
 
 
 @lru_cache(maxsize=8)

@@ -29,13 +29,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .._record import Record
 from ..errors import InvalidParameterError, ToleranceError
 
 __all__ = ["QuadratureSpec", "gauss_legendre_2d", "integrate_adaptive"]
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record, name="quadrature"):
     """Knobs for the adaptive integrator.
 
     ``abs_tol`` bounds the error estimate summed over all panels of the
@@ -45,7 +46,10 @@ class QuadratureSpec:
     bisections; a sum still above ``10 * abs_tol`` then raises
     :class:`~gausspack.errors.ToleranceError`.  ``half_width_sigmas``
     controls how many principal standard deviations of the density the
-    default integration box extends to.
+    default integration box extends to.  The counts must be integers (an
+    integer-valued real such as ``48.0`` is taken) and the tolerance and
+    width finite reals; anything else raises
+    :class:`~gausspack.errors.InvalidParameterError` naming the field.
     """
 
     order: int = 32
@@ -55,6 +59,7 @@ class QuadratureSpec:
     half_width_sigmas: float = 8.5
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.order < 2 or self.refined_order <= self.order:
             raise InvalidParameterError(
                 f"need refined_order > order >= 2, got {self.order}, {self.refined_order}"

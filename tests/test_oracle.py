@@ -238,6 +238,30 @@ class TestQuadrature:
         with pytest.raises(InvalidParameterError):
             QuadratureSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("order", 32.5), ("refined_order", 48.5), ("max_splits", 2.5),
+         ("abs_tol", math.inf), ("half_width_sigmas", math.inf), ("order", "32"),
+         ("max_splits", True)],
+    )
+    def test_spec_refuses_values_it_cannot_honour(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            QuadratureSpec(**{field: value})
+
+    def test_spec_takes_integer_valued_reals_as_integers(self):
+        spec = QuadratureSpec(order=32.0, refined_order=np.float64(48.0), max_splits=np.int64(7))
+        assert spec == QuadratureSpec()
+        assert all(type(n) is int for n in (spec.order, spec.refined_order, spec.max_splits))
+        box = (-3.0, 3.0, -3.0, 3.0)
+        gauss = lambda x, y: np.exp(-(x**2) - y**2)  # noqa: E731
+        assert integrate_adaptive(gauss, box, spec) == integrate_adaptive(gauss, box)
+
+    def test_spec_defaults_are_unchanged(self):
+        spec = QuadratureSpec()
+        assert (spec.order, spec.refined_order, spec.abs_tol, spec.max_splits,
+                spec.half_width_sigmas) == (32, 48, 1e-13, 7, 8.5)
+        assert propagate_module._PROP_QUAD == QuadratureSpec(abs_tol=1e-12, max_splits=8)
+
 
 class TestObservableAlgebra:
     def test_canonical_commutator(self):
@@ -331,6 +355,125 @@ class TestMatrixPolynomialIntegrand:
         val = expectation(params, obs)
         ref = dense_grid_expectation(params, obs)
         assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+_COORDS = (position_monomial(1, 0), position_monomial(0, 1),
+           momentum_monomial(1, 0), momentum_monomial(0, 1))
+#: The 4 first moments and the 10 symmetrised second moments; index 14 is the norm.
+MOMENT_OBSERVABLES = _COORDS + tuple(
+    0.5 * (_COORDS[i] * _COORDS[j] + _COORDS[j] * _COORDS[i])
+    for i in range(4) for j in range(i, 4)
+)
+NORM = len(MOMENT_OBSERVABLES)
+
+
+def fresh_pass_expectation(params, obs):
+    """``expectation`` with the density and node powers computed afresh on every pass."""
+    coeffs = moments_module._coefficient_matrix(moments_module._observable_polynomial(params, obs))
+    n_x, n_y = coeffs.shape
+
+    def integrand(x, y):
+        values = (
+            np.vander(x[:, 0], n_x, increasing=True)
+            @ coeffs
+            @ np.vander(y[0], n_y, increasing=True).T
+        )
+        values *= gp.density(params, x[:, :1], y[:1, :])
+        return values
+
+    return integrate_adaptive(integrand, integration_box(params))
+
+
+def fresh_pass_norm(params):
+    box = integration_box(params)
+    return integrate_adaptive(lambda x, y: gp.density(params, x[:, :1], y[:1, :]), box).real
+
+
+def moment_integrals(params, indices, expect, norm, rule_calls):
+    """``{index: (value, rule passes)}`` for the moment integrals taken in ``indices`` order."""
+    out = {}
+    for k in indices:
+        start = len(rule_calls)
+        value = norm(params) if k == NORM else expect(params, MOMENT_OBSERVABLES[k])
+        out[k] = (value, rule_calls[start:])
+    return out
+
+
+def record_rule_passes(monkeypatch):
+    """``(box, order)`` of every ``gauss_legendre_2d`` call the engine makes."""
+    calls = []
+
+    def recording(f, box, order):
+        calls.append((box, order))
+        return gauss_legendre_2d(f, box, order)
+
+    monkeypatch.setattr(quadrature_module, "gauss_legendre_2d", recording)
+    return calls
+
+
+class TestSharedGrids:
+    """A packet's integrals share each pass's density and node powers, bit for bit."""
+
+    ALL = tuple(range(NORM + 1))
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_rule_passes(patch)
+            return {
+                params: moment_integrals(params, self.ALL, fresh_pass_expectation,
+                                         fresh_pass_norm, calls)
+                for params in (DISPLACED, GENERIC)
+            }
+
+    @pytest.fixture
+    def rule_calls(self, monkeypatch):
+        moments_module._panels.cache_clear()
+        yield record_rule_passes(monkeypatch)
+        moments_module._panels.cache_clear()
+
+    def cached(self, params, rule_calls, indices=ALL):
+        return moment_integrals(params, indices, expectation, norm_integral, rule_calls)
+
+    @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
+    @pytest.mark.parametrize(
+        "scenario", ["cold", "warm", "reversed", "interleaved", "equal_copy"]
+    )
+    def test_matches_fresh_passes(self, reference, rule_calls, params, scenario):
+        other = GENERIC if params is DISPLACED else DISPLACED
+        if scenario == "warm":
+            self.cached(params, rule_calls)
+        elif scenario == "interleaved":
+            self.cached(params, rule_calls)
+            assert self.cached(other, rule_calls) == reference[other]
+        elif scenario == "equal_copy":
+            self.cached(params, rule_calls)
+            params = gp.RealParams(**vars(params))
+        indices = self.ALL[::-1] if scenario == "reversed" else self.ALL
+        # Every value and every rule pass is identical: no tolerance.
+        assert self.cached(params, rule_calls, indices) == reference[params]
+
+    def test_equal_packets_share_grids(self, rule_calls):
+        norm_integral(GENERIC)
+        assert moments_module._panels(gp.RealParams(**vars(GENERIC))) is (
+            moments_module._panels(GENERIC)
+        )
+
+    def test_grids_per_packet_are_capped(self, rule_calls):
+        obs = angular_momentum_op().squared()
+        ref = fresh_pass_expectation(DISPLACED, obs)
+        passes = len(rule_calls)
+        assert expectation(DISPLACED, obs) == ref
+        assert rule_calls[passes:] == rule_calls[:passes]
+        grids = moments_module._panels(DISPLACED)
+        # This integral's passes land on more distinct grids than the cap.
+        assert len(set(rule_calls[:passes])) > moments_module._MAX_GRIDS
+        assert len(grids) == moments_module._MAX_GRIDS
+
+        norm_integral(GENERIC)
+        assert moments_module._panels.cache_info().currsize == 1
+        assert moments_module._panels(DISPLACED) is not grids
+        assert len(moments_module._panels(DISPLACED)) == 0
 
 
 class TestWignerFourthMoment:
