@@ -9,19 +9,23 @@ phase-space coordinates against a centered Gaussian with a given covariance
 using tensor Gauss-Hermite quadrature; it never invokes the pairing formula
 it is used to validate.
 
-A packet's moment integrals all bisect the same box, so their rule passes
-land on the same node grids.  The density there and the powers of the node
-axes do not depend on the observable: ``expectation`` and
-``norm_integral`` compute them once per grid and share them across the
-packet's integrals, up to ``_MAX_GRIDS`` grids, with bit-for-bit the same
-arithmetic as a fresh pass.
+A packet's moments all weigh the same density on the same box, so they
+share one stacked adaptive integral: the matrix ``M`` of centred moments
+``int (x - xc)^a (y - yc)^b rho`` about the box centre, for ``a, b <
+width`` with ``width = max(3, n_x, n_y)`` set by the shape of the
+observable's coefficient matrix.  An expectation is a binomial
+re-expansion of its polynomial about the centre contracted with ``M``.
+Each ``M[a, b]`` meets ``abs_tol`` on its own, so an expectation's error
+is bounded by ``sum_ab |C'[a, b]| err[a, b]`` (see :func:`expectation`).
+The last ``_CACHE_SIZE`` matrices are kept; a value is never read from a
+wider matrix than its own width, so it does not depend on earlier calls.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -114,56 +118,52 @@ def integration_box(
     return (x0 - hw, x0 + hw, y0 - hw, y0 + hw)
 
 
-#: Node grids kept per packet.  Past it, a rule pass computes its density
-#: and node powers afresh and stores nothing, which bounds the memory of an
-#: integral that refines deeply (up to about 2.4 MB of 48-point grids).
-_MAX_GRIDS = 128
+#: Centred moment matrices kept.  A packet takes one entry per width (3 for
+#: its first and second moments, <L> and the norm, 5 for <L^2>), so this
+#: holds about two packets; a longer sweep recomputes, one integral a packet.
+_CACHE_SIZE = 4
 
 
-class _Grid(NamedTuple):
-    rho: np.ndarray  # density on the open node grid, (n, n), read-only
-    vx: np.ndarray  # x^0 ... x^(k-1) on the x nodes, (n, k)
-    vy: np.ndarray  # the same on the y nodes
+def _centre(box: tuple[float, float, float, float]) -> tuple[float, float]:
+    x0, x1, y0, y1 = box
+    return 0.5 * (x0 + x1), 0.5 * (y0 + y1)
 
 
-@lru_cache(maxsize=1)
-def _panels(params: RealParams) -> dict[tuple[bytes, bytes], _Grid]:
-    """The shared grids of one packet, keyed by the bytes of their node axes.
-
-    Only the latest packet is held, so a new packet frees the previous one's
-    grids; a caller fetches the dict once per integral, so an eviction
-    mid-integral cannot mix two packets.
-    """
-    return {}
-
-
-def _grid(
+@lru_cache(maxsize=_CACHE_SIZE)
+def _centred_moments(
     params: RealParams,
-    panels: dict[tuple[bytes, bytes], _Grid],
-    x: np.ndarray,
-    y: np.ndarray,
+    quad: QuadratureSpec,
+    box: tuple[float, float, float, float],
     width: int,
-) -> _Grid:
-    """The pass's density and at least ``width`` powers of each node axis.
+) -> np.ndarray:
+    """Read-only ``M[a, b] = int (x - xc)^a (y - yc)^b rho dx dy``, ``a, b < width``.
 
-    ``np.vander`` builds its columns by a running product, so the first
-    columns of a wider table are bit-identical to a narrower one.
+    ``(xc, yc)`` is the centre of ``box``.  All ``width**2`` moments are the
+    components of one stacked adaptive integral: on each rule pass the
+    integrand is the factor triple ``(Vx[a], rho, Vy[b])`` of the node
+    powers about the centre and the density on the open grid, so they share
+    one partition and ``abs_tol`` bounds each moment's summed error.
     """
-    key = (x[:, 0].tobytes(), y[0].tobytes())
-    grid = panels.get(key)
-    if grid is not None and grid.vx.shape[1] >= width:
-        return grid
-    if grid is None:
-        rho = density(params, x[:, :1], y[:1, :])
-        rho.flags.writeable = False
-    else:
-        rho = grid.rho
-    fresh = _Grid(
-        rho, np.vander(x[:, 0], width, increasing=True), np.vander(y[0], width, increasing=True)
-    )
-    if grid is not None or len(panels) < _MAX_GRIDS:
-        panels[key] = fresh
-    return fresh
+    xc, yc = _centre(box)
+    pa, pb = np.divmod(np.arange(width * width), width)
+
+    def integrand(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        vx = np.vander(x[:, 0] - xc, width, increasing=True).T
+        vy = np.vander(y[0] - yc, width, increasing=True).T
+        return vx[pa], density(params, x[:, :1], y[:1, :]), vy[pb]
+
+    moments = integrate_adaptive(integrand, box, quad).reshape(width, width)
+    moments.flags.writeable = False
+    return moments
+
+
+def _binomial_shift(centre: float, n: int, width: int) -> np.ndarray:
+    """``S`` with ``x^i = sum_a S[a, i] (x - centre)^a``, shape ``(width, n)``."""
+    shift = np.zeros((width, n))
+    for i in range(n):
+        for a in range(i + 1):
+            shift[a, i] = math.comb(i, a) * centre ** (i - a)
+    return shift
 
 
 def expectation(
@@ -174,39 +174,34 @@ def expectation(
 ) -> complex:
     """Quadrature value of ``<psi| O |psi>`` for a normal-ordered observable.
 
-    On each rule pass the polynomial is one matrix product over the node
-    axes, ``(x^i) @ C @ (y^j)^T``, times the density on the open grid.  The
-    density and the node powers are computed once per grid and shared with
-    the packet's other integrals (see the module notes); the values are
-    bit-for-bit those of a fresh pass.
+    ``(O psi) = P psi`` for a polynomial ``P(x, y) = sum_ij C[i, j] x^i y^j``.
+    Re-expanded about the box centre, ``C' = Sx C Sy^T`` by the binomial
+    theorem, and the value is ``sum_ab C'[a, b] M[a, b]`` with ``M`` the
+    packet's centred moment matrix of width ``max(3, *C.shape)`` (one
+    cached integral, shared with every observable of that width).  Each
+    ``M[a, b]`` meets ``abs_tol`` on its own, so the value's error is
+    bounded by ``sum_ab |C'[a, b]| err[a, b]``, not by ``abs_tol`` itself.
     """
     quad = quad or QuadratureSpec()
     coeffs = _coefficient_matrix(_observable_polynomial(params, obs))
     n_x, n_y = coeffs.shape
-    width = max(n_x, n_y)
-    if box is None:
-        box = integration_box(params, quad.half_width_sigmas)
-    panels = _panels(params)
-
-    def integrand(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        grid = _grid(params, panels, x, y, width)
-        values = grid.vx[:, :n_x] @ coeffs @ grid.vy[:, :n_y].T
-        values *= grid.rho  # in place: one (n, n) array per pass
-        return values
-
-    return integrate_adaptive(integrand, box, quad)
+    width = max(3, n_x, n_y)
+    box = tuple(box) if box is not None else integration_box(params, quad.half_width_sigmas)
+    xc, yc = _centre(box)
+    shifted = _binomial_shift(xc, n_x, width) @ coeffs @ _binomial_shift(yc, n_y, width).T
+    return complex(np.sum(shifted * _centred_moments(params, quad, box, width)))
 
 
 def norm_integral(params: RealParams, quad: QuadratureSpec | None = None) -> float:
     """Total probability by quadrature; should be 1 for any valid packet.
 
-    The density on each grid is shared with the packet's ``expectation``
-    integrals, as computed once per grid.
+    It is ``M[0, 0]`` of the width-3 centred moment matrix that the
+    packet's first and second moments share, so it costs no integral of
+    its own.
     """
     quad = quad or QuadratureSpec()
     box = integration_box(params, quad.half_width_sigmas)
-    panels = _panels(params)
-    return integrate_adaptive(lambda x, y: _grid(params, panels, x, y, 0).rho, box, quad).real
+    return float(_centred_moments(params, quad, box, 3)[0, 0].real)
 
 
 @lru_cache(maxsize=8)

@@ -115,13 +115,24 @@ class TestQuadrature:
         # Two rules on each of the 1 + 4 + 16 panels down to max_splits.
         assert len(rule_passes) == 2 * 21
 
-    def test_displaced_chirped_moment_takes_few_rule_passes(self, rule_passes):
+    def test_displaced_chirped_moment_takes_few_rule_passes(self, cold_cache, rule_passes):
         val = expectation(DISPLACED, angular_momentum_op())
         assert val.real == pytest.approx(HBAR * gp.angular_split(DISPLACED).total, abs=1e-10)
         # Bisecting every panel above its area share of abs_tol took 850.
         assert len(rule_passes) <= 100
-        # Cheaper rule passes must not change the partition.
-        assert len(rule_passes) == 66
+        # One centred moment matrix: 66 passes when ⟨L⟩ had an integral of its own.
+        assert len(rule_passes) == 10
+
+    def test_displaced_angular_momentum_squared_takes_few_rule_passes(
+        self, cold_cache, rule_passes
+    ):
+        obs = angular_momentum_op().squared()
+        val = expectation(DISPLACED, obs)
+        # An absolute abs_tol on the whole value of about 687 took 826 passes.
+        assert len(rule_passes) <= 20
+        assert abs(val - dense_grid_expectation(DISPLACED, obs)) <= centred_error_bound(
+            DISPLACED, obs
+        )
 
     def test_integrand_gets_read_only_views_of_the_node_axes(self):
         box, order = (-1.0, 3.0, 0.5, 2.0), 6
@@ -323,8 +334,9 @@ class TestExpectation:
 
 
 def dense_grid_expectation(params, obs):
-    """``expectation`` as it was computed before: the polynomial summed
-    monomial by monomial on dense copies of the node grids."""
+    """``expectation`` as an independent reference: the polynomial summed
+    monomial by monomial on dense copies of the node grids, one adaptive
+    integral per observable."""
     poly = moments_module._observable_polynomial(params, obs)
 
     def integrand(x, y):
@@ -337,143 +349,166 @@ def dense_grid_expectation(params, obs):
     return integrate_adaptive(integrand, integration_box(params))
 
 
-class TestMatrixPolynomialIntegrand:
-    X = position_monomial(1, 0)
-    PX = momentum_monomial(1, 0)
+def centred_error_bound(params, obs):
+    """``10 abs_tol (1 + sum_ab |C'_ab|)``, with ``C'`` the observable's polynomial
+    re-expanded about the centre of the default box.
 
-    @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
-    @pytest.mark.parametrize("name", ["x", "px", "x2", "x_px_sym", "L", "L2"])
-    def test_matches_dense_grid_reference(self, params, name):
-        obs = {
-            "x": self.X,
-            "px": self.PX,
-            "x2": position_monomial(2, 0),
-            "x_px_sym": 0.5 * (self.X * self.PX + self.PX * self.X),
-            "L": angular_momentum_op(),
-            "L2": angular_momentum_op().squared(),
-        }[name]
-        val = expectation(params, obs)
-        ref = dense_grid_expectation(params, obs)
-        assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref))
+    Each centred moment's summed error estimate is within ``10 abs_tol``, so
+    this bounds ``expectation``'s error; the 1 covers the reference's own.
+    """
+    x0, x1, y0, y1 = integration_box(params)
+    xc, yc = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    shifted = {}
+    for (i, j), c in moments_module._observable_polynomial(params, obs).items():
+        for a in range(i + 1):
+            for b in range(j + 1):
+                term = c * math.comb(i, a) * xc ** (i - a) * math.comb(j, b) * yc ** (j - b)
+                shifted[a, b] = shifted.get((a, b), 0.0) + term
+    return 10.0 * QuadratureSpec().abs_tol * (1.0 + sum(abs(c) for c in shifted.values()))
 
+
+_X, _PX = position_monomial(1, 0), momentum_monomial(1, 0)
+REFERENCE_OBSERVABLES = {
+    "x": _X,
+    "px": _PX,
+    "x2": position_monomial(2, 0),
+    "x_px_sym": 0.5 * (_X * _PX + _PX * _X),
+    "L": angular_momentum_op(),
+    "L2": angular_momentum_op().squared(),
+}
 
 _COORDS = (position_monomial(1, 0), position_monomial(0, 1),
            momentum_monomial(1, 0), momentum_monomial(0, 1))
-#: The 4 first moments and the 10 symmetrised second moments; index 14 is the norm.
+#: The 4 first moments and the 10 symmetrised second moments.
 MOMENT_OBSERVABLES = _COORDS + tuple(
     0.5 * (_COORDS[i] * _COORDS[j] + _COORDS[j] * _COORDS[i])
     for i in range(4) for j in range(i, 4)
 )
-NORM = len(MOMENT_OBSERVABLES)
+#: The moments, then ⟨L⟩ and ⟨L²⟩; ``None`` stands for the norm.
+ALL_INTEGRALS = MOMENT_OBSERVABLES + (
+    None, angular_momentum_op(), angular_momentum_op().squared()
+)
 
 
-def fresh_pass_expectation(params, obs):
-    """``expectation`` with the density and node powers computed afresh on every pass."""
-    coeffs = moments_module._coefficient_matrix(moments_module._observable_polynomial(params, obs))
-    n_x, n_y = coeffs.shape
-
-    def integrand(x, y):
-        values = (
-            np.vander(x[:, 0], n_x, increasing=True)
-            @ coeffs
-            @ np.vander(y[0], n_y, increasing=True).T
-        )
-        values *= gp.density(params, x[:, :1], y[:1, :])
-        return values
-
-    return integrate_adaptive(integrand, integration_box(params))
-
-
-def fresh_pass_norm(params):
-    box = integration_box(params)
-    return integrate_adaptive(lambda x, y: gp.density(params, x[:, :1], y[:1, :]), box).real
-
-
-def moment_integrals(params, indices, expect, norm, rule_calls):
-    """``{index: (value, rule passes)}`` for the moment integrals taken in ``indices`` order."""
+def integrals_in_order(params, indices):
+    """``{index: value}`` of :data:`ALL_INTEGRALS`, computed in ``indices`` order."""
     out = {}
     for k in indices:
-        start = len(rule_calls)
-        value = norm(params) if k == NORM else expect(params, MOMENT_OBSERVABLES[k])
-        out[k] = (value, rule_calls[start:])
+        obs = ALL_INTEGRALS[k]
+        out[k] = norm_integral(params) if obs is None else expectation(params, obs)
     return out
 
 
-def record_rule_passes(monkeypatch):
-    """``(box, order)`` of every ``gauss_legendre_2d`` call the engine makes."""
+@pytest.fixture
+def cold_cache():
+    moments_module._centred_moments.cache_clear()
+    yield
+    moments_module._centred_moments.cache_clear()
+
+
+@pytest.fixture
+def integral_calls(monkeypatch, cold_cache):
+    """Boxes of every adaptive integral the moments module starts."""
     calls = []
 
-    def recording(f, box, order):
-        calls.append((box, order))
-        return gauss_legendre_2d(f, box, order)
+    def counting(f, box, spec=None):
+        calls.append(box)
+        return integrate_adaptive(f, box, spec)
 
-    monkeypatch.setattr(quadrature_module, "gauss_legendre_2d", recording)
+    monkeypatch.setattr(moments_module, "integrate_adaptive", counting)
     return calls
 
 
-class TestSharedGrids:
-    """A packet's integrals share each pass's density and node powers, bit for bit."""
+class TestCentredMoments:
+    """One centred moment matrix per packet serves all of its moments."""
 
-    ALL = tuple(range(NORM + 1))
+    ALL = tuple(range(len(ALL_INTEGRALS)))
+
+    @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
+    @pytest.mark.parametrize("name", list(REFERENCE_OBSERVABLES))
+    def test_within_error_bound_of_dense_reference(self, params, name):
+        obs = REFERENCE_OBSERVABLES[name]
+        error = abs(expectation(params, obs) - dense_grid_expectation(params, obs))
+        assert error <= centred_error_bound(params, obs)
+
+    @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
+    def test_moments_match_closed_forms(self, params):
+        values = integrals_in_order(params, range(len(MOMENT_OBSERVABLES) + 1))
+        firsts = np.array([values[k].real for k in range(4)])
+        assert firsts == pytest.approx(np.array(gp.first_moments(params)), abs=1e-11)
+        cov = gp.covariances(params)
+        k = 4
+        for i in range(4):
+            for j in range(i, 4):
+                central = values[k].real - firsts[i] * firsts[j]
+                assert central == pytest.approx(cov[i, j], abs=1e-11)
+                k += 1
+        assert values[k] == pytest.approx(1.0, abs=1e-11)
 
     @pytest.fixture(scope="class")
     def reference(self):
-        with pytest.MonkeyPatch.context() as patch:
-            calls = record_rule_passes(patch)
-            return {
-                params: moment_integrals(params, self.ALL, fresh_pass_expectation,
-                                         fresh_pass_norm, calls)
-                for params in (DISPLACED, GENERIC)
-            }
-
-    @pytest.fixture
-    def rule_calls(self, monkeypatch):
-        moments_module._panels.cache_clear()
-        yield record_rule_passes(monkeypatch)
-        moments_module._panels.cache_clear()
-
-    def cached(self, params, rule_calls, indices=ALL):
-        return moment_integrals(params, indices, expectation, norm_integral, rule_calls)
+        """Every value computed from an empty cache."""
+        out = {}
+        for params in (DISPLACED, GENERIC):
+            out[params] = {}
+            for k in self.ALL:
+                moments_module._centred_moments.cache_clear()
+                out[params].update(integrals_in_order(params, [k]))
+        moments_module._centred_moments.cache_clear()
+        return out
 
     @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
     @pytest.mark.parametrize(
         "scenario", ["cold", "warm", "reversed", "interleaved", "equal_copy"]
     )
-    def test_matches_fresh_passes(self, reference, rule_calls, params, scenario):
+    def test_values_do_not_depend_on_history(self, reference, cold_cache, params, scenario):
         other = GENERIC if params is DISPLACED else DISPLACED
         if scenario == "warm":
-            self.cached(params, rule_calls)
+            integrals_in_order(params, self.ALL)
         elif scenario == "interleaved":
-            self.cached(params, rule_calls)
-            assert self.cached(other, rule_calls) == reference[other]
+            integrals_in_order(params, self.ALL)
+            assert integrals_in_order(other, self.ALL) == reference[other]
         elif scenario == "equal_copy":
-            self.cached(params, rule_calls)
+            integrals_in_order(params, self.ALL)
             params = gp.RealParams(**vars(params))
+        # ``reversed`` starts with ⟨L²⟩, whose wider matrix must not serve the rest.
         indices = self.ALL[::-1] if scenario == "reversed" else self.ALL
-        # Every value and every rule pass is identical: no tolerance.
-        assert self.cached(params, rule_calls, indices) == reference[params]
+        # Bit for bit: no tolerance.
+        assert integrals_in_order(params, indices) == reference[params]
 
-    def test_equal_packets_share_grids(self, rule_calls):
-        norm_integral(GENERIC)
-        assert moments_module._panels(gp.RealParams(**vars(GENERIC))) is (
-            moments_module._panels(GENERIC)
-        )
+    def test_one_integral_per_packet_and_width(self, integral_calls):
+        integrals_in_order(DISPLACED, range(len(MOMENT_OBSERVABLES) + 2))
+        assert len(integral_calls) == 1
+        expectation(DISPLACED, angular_momentum_op().squared())
+        assert len(integral_calls) == 2
+        integrals_in_order(DISPLACED, self.ALL)
+        assert len(integral_calls) == 2
 
-    def test_grids_per_packet_are_capped(self, rule_calls):
-        obs = angular_momentum_op().squared()
-        ref = fresh_pass_expectation(DISPLACED, obs)
-        passes = len(rule_calls)
-        assert expectation(DISPLACED, obs) == ref
-        assert rule_calls[passes:] == rule_calls[:passes]
-        grids = moments_module._panels(DISPLACED)
-        # This integral's passes land on more distinct grids than the cap.
-        assert len(set(rule_calls[:passes])) > moments_module._MAX_GRIDS
-        assert len(grids) == moments_module._MAX_GRIDS
+    def test_a_different_spec_gets_its_own_entry(self, integral_calls):
+        coarse = QuadratureSpec(abs_tol=1e-12)
+        x = expectation(GENERIC, _X)
+        assert expectation(GENERIC, _X, quad=coarse) == pytest.approx(x, abs=1e-11)
+        assert len(integral_calls) == 2
+        assert expectation(GENERIC, _X, quad=QuadratureSpec()) == x
+        assert len(integral_calls) == 2
 
-        norm_integral(GENERIC)
-        assert moments_module._panels.cache_info().currsize == 1
-        assert moments_module._panels(DISPLACED) is not grids
-        assert len(moments_module._panels(DISPLACED)) == 0
+    def test_a_shifted_list_box_gets_its_own_entry(self, integral_calls):
+        box = integration_box(GENERIC)
+        x = expectation(GENERIC, _X)
+        assert expectation(GENERIC, _X, box=list(box)) == x
+        assert len(integral_calls) == 1
+        shifted = [box[0] + 0.5, box[1] + 0.5, box[2] - 0.25, box[3] - 0.25]
+        assert expectation(GENERIC, _X, box=shifted) == pytest.approx(x, abs=1e-11)
+        assert integral_calls[1] == tuple(shifted)
+
+    def test_moment_matrix_is_read_only(self, cold_cache):
+        quad = QuadratureSpec()
+        box = integration_box(GENERIC, quad.half_width_sigmas)
+        moments = moments_module._centred_moments(GENERIC, quad, box, 3)
+        assert moments.shape == (3, 3)
+        assert moments[0, 0] == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError):
+            moments[0, 0] = 0.0
 
 
 class TestWignerFourthMoment:
