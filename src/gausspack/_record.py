@@ -96,13 +96,16 @@ class Record:
 
     def __post_init__(self) -> None:
         _, reals, integers = _layout(type(self))
-        # Values that already pass are left alone, which keeps this cheap.
+        # Values that already pass are left alone, and the fields are read
+        # from the instance dict rather than by getattr: this runs for every
+        # packet the closed forms build.
+        values = self.__dict__
         for attr, label in reals:
-            value = getattr(self, attr)
+            value = values[attr]
             if type(value) is not float or not math.isfinite(value):
                 object.__setattr__(self, attr, real(value, label))
         for attr, label in integers:
-            value = getattr(self, attr)
+            value = values[attr]
             if type(value) is not int:
                 object.__setattr__(self, attr, integer(value, label))
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ._record import Record, real
 from .constants import HBAR, MASS
 from .errors import InvalidParameterError
 from .minimal import MinPacketSpec
-from .packet import RealParams, first_moments, params_from_moments
+from .packet import RealParams, _from_moments, first_moments
 
 __all__ = [
     "EvolutionContext",
@@ -99,6 +99,20 @@ def _matched_frequency(spec: MinPacketSpec, context: EvolutionContext) -> float:
     return omega_eff
 
 
+def _at_phases(spec: MinPacketSpec, u: float, v: float) -> MinPacketSpec:
+    """``spec`` with phases ``(u, v)``, built directly rather than by ``dataclasses.replace``."""
+    return MinPacketSpec(
+        l_i_abs=spec.l_i_abs,
+        l_c_abs=spec.l_c_abs,
+        sign_i=spec.sign_i,
+        sign_c=spec.sign_c,
+        u=u,
+        v=v,
+        omega=spec.omega,
+        mass=spec.mass,
+    )
+
+
 def evolve_oscillator(spec: MinPacketSpec, t: float) -> MinPacketSpec:
     """Advance a minimal packet in its own isotropic oscillator.
 
@@ -107,7 +121,7 @@ def evolve_oscillator(spec: MinPacketSpec, t: float) -> MinPacketSpec:
     ``v -> v + sign_c omega t``.  Energies, angular momenta and all variance
     invariants are untouched.
     """
-    return replace(
+    return _at_phases(
         spec,
         u=spec.u + 2.0 * spec.sign_i * spec.omega * t,
         v=spec.v + spec.sign_c * spec.omega * t,
@@ -129,7 +143,7 @@ def evolve_magnetic(spec: MinPacketSpec, context: EvolutionContext, t: float) ->
         raise InvalidParameterError("packet and context masses differ")
     du = 2.0 * (spec.sign_i * omega_eff - context.omega_larmor)
     dv = spec.sign_c * omega_eff - context.omega_larmor
-    return replace(spec, u=spec.u + du * t, v=spec.v + dv * t)
+    return _at_phases(spec, u=spec.u + du * t, v=spec.v + dv * t)
 
 
 def magnetic_energy(spec: MinPacketSpec, context: EvolutionContext) -> float:
@@ -207,18 +221,15 @@ def evolve_free(params: RealParams, t: float, mass: float = MASS) -> FreeEvoluti
     b_t = b / g
     c_t = (c + 1j * tau * d) / g
 
-    shape = RealParams(
-        mu=mu,
-        alpha=2.0 * a_t.real,
-        beta=b_t.real,
-        gamma=2.0 * c_t.real,
-        chi_a=a_t.imag,
-        chi_c=c_t.imag,
-        rho=b_t.imag,
-    )
     x0, y0, px0, py0 = first_moments(params)
-    evolved = params_from_moments(
-        shape,
+    evolved = _from_moments(
+        mu,
+        2.0 * a_t.real,
+        b_t.real,
+        2.0 * c_t.real,
+        a_t.imag,
+        c_t.imag,
+        b_t.imag,
         x0 + px0 * t / mass,
         y0 + py0 * t / mass,
         px0,

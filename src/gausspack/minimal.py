@@ -25,7 +25,7 @@ import numpy as np
 from ._record import Record, real
 from .constants import HBAR, MASS
 from .errors import InvalidParameterError
-from .packet import GaussianState, RealParams, params_from_moments
+from .packet import GaussianState, RealParams, _from_moments
 
 __all__ = [
     "MinPacketSpec",
@@ -168,20 +168,23 @@ def build_min_packet(spec: MinPacketSpec) -> RealParams:
     eta = spec.eta
     lam = spec.sign_i
     cu, su = math.cos(spec.u), math.sin(spec.u)
-    shape = RealParams(
-        mu=spec.mu,
-        alpha=1.0 + eta * cu,
-        beta=eta * su,
-        gamma=1.0 - eta * cu,
-        chi_a=-0.5 * lam * eta * su,
-        chi_c=0.5 * lam * eta * su,
-        rho=lam * eta * cu,
-    )
     radius = spec.orbit_radius
     x0 = radius * math.cos(spec.v)
     y0 = radius * math.sin(spec.v)
     p_t = spec.sign_c * spec.mass * spec.omega
-    return params_from_moments(shape, x0, y0, -p_t * y0, p_t * x0)
+    return _from_moments(
+        spec.mu,
+        1.0 + eta * cu,
+        eta * su,
+        1.0 - eta * cu,
+        -0.5 * lam * eta * su,
+        0.5 * lam * eta * su,
+        lam * eta * cu,
+        x0,
+        y0,
+        -p_t * y0,
+        p_t * x0,
+    )
 
 
 def min_packet_covariances(spec: MinPacketSpec) -> np.ndarray:

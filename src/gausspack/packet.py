@@ -222,19 +222,42 @@ def params_from_moments(
     relations for F and G.  This is the exact inverse of
     :func:`first_moments` for a fixed quadratic form.
     """
-    mu = base.mu
-    f1 = mu * (base.alpha * x0 + base.beta * y0)
-    g1 = mu * (base.beta * x0 + base.gamma * y0)
-    f2 = px0 / HBAR + mu * (2.0 * base.chi_a * x0 + base.rho * y0)
-    g2 = py0 / HBAR + mu * (2.0 * base.chi_c * y0 + base.rho * x0)
+    return _from_moments(
+        base.mu, base.alpha, base.beta, base.gamma, base.chi_a, base.chi_c, base.rho,
+        x0, y0, px0, py0,
+    )
+
+
+def _from_moments(
+    mu: float,
+    alpha: float,
+    beta: float,
+    gamma: float,
+    chi_a: float,
+    chi_c: float,
+    rho: float,
+    x0: float,
+    y0: float,
+    px0: float,
+    py0: float,
+) -> RealParams:
+    """The packet with this quadratic part and these first moments.
+
+    The body of :func:`params_from_moments`, for callers that hold the
+    quadratic part as numbers and need no packet built for it alone.
+    """
+    f1 = mu * (alpha * x0 + beta * y0)
+    g1 = mu * (beta * x0 + gamma * y0)
+    f2 = px0 / HBAR + mu * (2.0 * chi_a * x0 + rho * y0)
+    g2 = py0 / HBAR + mu * (2.0 * chi_c * y0 + rho * x0)
     return RealParams(
         mu=mu,
-        alpha=base.alpha,
-        beta=base.beta,
-        gamma=base.gamma,
-        chi_a=base.chi_a,
-        chi_c=base.chi_c,
-        rho=base.rho,
+        alpha=alpha,
+        beta=beta,
+        gamma=gamma,
+        chi_a=chi_a,
+        chi_c=chi_c,
+        rho=rho,
         f1=f1,
         f2=f2,
         g1=g1,

@@ -21,7 +21,7 @@ def run(name: str, budget: float | None = None):
 
 
 def test_minimal_energy_bound_is_attained():
-    run("minimum", budget=30.0)
+    run("minimum", budget=10.0)
 
 
 def test_closed_form_moments_match_quadrature():

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +218,92 @@ class TestFree:
         with pytest.raises(InvalidParameterError, match=f"^{name} ") as info:
             evolve_free(symmetric_params(), t, mass=mass)
         assert "overflows" not in str(info.value)
+
+
+def two_step_min_packet(spec: MinPacketSpec) -> RealParams:
+    """``build_min_packet`` as a shape packet that ``params_from_moments`` then displaces."""
+    eta, lam = spec.eta, spec.sign_i
+    cu, su = math.cos(spec.u), math.sin(spec.u)
+    shape = RealParams(mu=spec.mu, alpha=1.0 + eta * cu, beta=eta * su, gamma=1.0 - eta * cu,
+                       chi_a=-0.5 * lam * eta * su, chi_c=0.5 * lam * eta * su, rho=lam * eta * cu)
+    x0 = spec.orbit_radius * math.cos(spec.v)
+    y0 = spec.orbit_radius * math.sin(spec.v)
+    p_t = spec.sign_c * spec.mass * spec.omega
+    return gp.params_from_moments(shape, x0, y0, -p_t * y0, p_t * x0)
+
+
+def two_step_free(params: RealParams, t: float) -> RealParams:
+    """``evolve_free(params, t).params`` at unit mass, by way of a shape packet."""
+    t = float(t)
+    tau = 2.0 * HBAR * params.mu * t
+    a, b, c = params.quad_a, params.quad_b, params.quad_c
+    d = a * c - b * b / 4.0
+    g = 1.0 + 1j * tau * (a + c) - tau**2 * d
+    a_t, b_t, c_t = (a + 1j * tau * d) / g, b / g, (c + 1j * tau * d) / g
+    shape = RealParams(mu=params.mu, alpha=2.0 * a_t.real, beta=b_t.real, gamma=2.0 * c_t.real,
+                       chi_a=a_t.imag, chi_c=c_t.imag, rho=b_t.imag)
+    x0, y0, px0, py0 = gp.first_moments(params)
+    return gp.params_from_moments(shape, x0 + px0 * t, y0 + py0 * t, px0, py0)
+
+
+SWEEP_SPECS = [
+    MinPacketSpec(l_i_abs=l_i, l_c_abs=l_c, sign_i=s_i, sign_c=s_c, u=u, v=v, omega=omega)
+    for l_i, l_c, (s_i, s_c), u, v, omega in itertools.product(
+        (0.0, 0.5, 2.7, 1e4), (0.0, 1.3), ((1, 1), (-1, 1), (1, -1)), (0.0, 1.1), (-0.4, 2.9),
+        (1.0, 2.5),
+    )
+]
+SWEEP_TIMES = (0.0, 0.37, -1.1, np.float64(2.5), np.float64(100.0))
+
+
+class TestDirectConstruction:
+    """The closed forms build each packet once; the numbers equal the two-step route."""
+
+    def test_min_packets_equal_the_two_step_construction(self):
+        for spec in SWEEP_SPECS:
+            assert gp.build_min_packet(spec) == two_step_min_packet(spec)
+
+    def test_free_evolution_equals_the_two_step_construction(self):
+        refused = 0
+        for spec, t in itertools.product(SWEEP_SPECS[::4], SWEEP_TIMES):
+            params = gp.build_min_packet(spec)
+            try:
+                expected = two_step_free(params, t)
+            except InvalidParameterError as exc:
+                # Too spread for the discriminant floor: refused the same way.
+                with pytest.raises(InvalidParameterError, match=f"^{re.escape(str(exc))}$"):
+                    evolve_free(params, t)
+                refused += 1
+                continue
+            evolved = evolve_free(params, t).params
+            assert evolved == expected
+            assert all(type(value) is float for value in evolved.to_dict().values())
+        assert 0 < refused < len(SWEEP_SPECS[::4]) * len(SWEEP_TIMES) // 2
+
+    def test_phase_laws_equal_dataclass_replace(self):
+        for spec, t in itertools.product(SWEEP_SPECS, SWEEP_TIMES):
+            moved = evolve_oscillator(spec, t)
+            assert moved == dataclasses.replace(
+                spec,
+                u=spec.u + 2.0 * spec.sign_i * spec.omega * t,
+                v=spec.v + spec.sign_c * spec.omega * t,
+            )
+            assert type(moved.u) is float and type(moved.v) is float
+            context = EvolutionContext(kind="magnetic", omega=0.6 * spec.omega,
+                                       omega_larmor=0.8 * spec.omega)
+            at_field = dataclasses.replace(spec, omega=context.omega_effective)
+            du = 2.0 * (spec.sign_i * context.omega_effective - context.omega_larmor)
+            dv = spec.sign_c * context.omega_effective - context.omega_larmor
+            assert evolve_magnetic(at_field, context, t) == dataclasses.replace(
+                at_field, u=at_field.u + du * t, v=at_field.v + dv * t
+            )
+
+    def test_spread_packet_still_refused_as_degenerate(self):
+        # The absolute discriminant floor still refuses P at t = 1e3; the
+        # direct construction must keep that refusal, and its message.
+        params = gp.build_min_packet(MinPacketSpec(l_i_abs=0.5, l_c_abs=1.0, u=0.5 * math.pi))
+        with pytest.raises(InvalidParameterError, match="quadratic form is degenerate"):
+            evolve_free(params, 1e3)
 
 
 class TestShrink:

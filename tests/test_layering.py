@@ -1,8 +1,9 @@
-"""The closed-form layer never depends on the oracle or on SciPy.
+"""The closed-form layer never depends on the oracle, and nothing on SciPy.
 
 The closed forms are checked against the numerical oracle, so they must not
-borrow from it; and since only the Nelder-Mead search needs SciPy, importing
-the package must not load ``scipy.optimize``.
+borrow from it.  SciPy is a test dependency only: no module of the package,
+the oracle included, imports it, and neither importing the package nor a
+checked ``gausspack minimize`` loads it.
 """
 
 import ast
@@ -45,10 +46,12 @@ def imported_modules(path: Path) -> list[str]:
     return names
 
 
+def is_under(name: str, *roots: str) -> bool:
+    return any(name == root or name.startswith(root + ".") for root in roots)
+
+
 def is_forbidden(name: str) -> bool:
-    return any(
-        name == root or name.startswith(root + ".") for root in ("gausspack.oracle", "scipy")
-    )
+    return is_under(name, "gausspack.oracle", "scipy")
 
 
 @pytest.mark.parametrize("module", CLOSED_FORM_MODULES)
@@ -56,6 +59,16 @@ def test_closed_forms_import_neither_oracle_nor_scipy(module):
     path = PACKAGE_DIR / f"{module}.py"
     offending = [name for name in imported_modules(path) if is_forbidden(name)]
     assert offending == [], f"{module}.py imports {offending}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE_DIR.rglob("*.py")),
+    ids=lambda path: path.relative_to(PACKAGE_DIR).as_posix(),
+)
+def test_no_module_of_the_package_imports_scipy(path):
+    offending = [name for name in imported_modules(path) if is_under(name, "scipy")]
+    assert offending == [], f"{path.name} imports {offending}"
 
 
 def test_import_scan_sees_relative_and_lazy_imports(tmp_path):
@@ -74,15 +87,31 @@ def test_import_scan_sees_relative_and_lazy_imports(tmp_path):
     ]
 
 
-def test_importing_the_package_does_not_load_scipy_optimize():
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, gausspack; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_importing_the_package_does_not_load_scipy_optimize():
+    proc = run_python("import sys, gausspack; print('scipy.optimize' in sys.modules)")
     assert proc.stdout.strip() == "False"
+
+
+def test_a_checked_minimize_does_not_load_scipy():
+    proc = run_python(
+        "import sys\n"
+        "from gausspack.cli import main\n"
+        "code = main(['minimize', '--Li', '0.5', '--check', '--starts', '2'])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(code, loaded, file=sys.stderr)\n"
+    )
+    assert proc.stderr.splitlines()[-1] == "0 []"  # after the CLI's progress lines
+    assert '"passed": true' in proc.stdout

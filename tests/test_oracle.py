@@ -11,7 +11,8 @@ from gausspack import (
     RealParams,
     ToleranceError,
 )
-from gausspack.oracle.minimize import minimize_free
+from gausspack.oracle import minimize as minimize_module
+from gausspack.oracle.minimize import _nelder_mead, minimize_free
 from gausspack.oracle.moments import (
     expectation,
     integration_box,
@@ -569,6 +570,92 @@ class TestMinimizeFree:
             )
         with pytest.raises(InvalidParameterError):
             minimize_free(lambda p: 0.0, lambda r: np.zeros(1), n_starts=0)
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def scaled_quadratic(x):
+    return float((x[0] - 1.0) ** 2 + 10.0 * (x[1] + 2.0) ** 2 + 100.0 * (x[2] - 0.5) ** 2)
+
+
+def rastrigin(x):
+    return float(10.0 * len(x) + sum(v * v - 10.0 * math.cos(2.0 * math.pi * v) for v in x))
+
+
+def parabola(x):
+    return float((x[0] - 3.0) ** 2)
+
+
+def walled_bowl(wall):
+    """A bowl with its minimum 0 at (1, 1), and ``wall`` wherever x > 2 or y > 3."""
+
+    def objective(x):
+        assert isinstance(x, np.ndarray) and x.dtype == float
+        if x[0] > 2.0 or x[1] > 3.0:
+            return wall
+        return float((x[0] - 1.0) ** 2 + 2.0 * (x[1] - 1.0) ** 2)
+
+    return objective
+
+
+def scipy_search(objective, start, maxfev=minimize_module._MAX_EVALUATIONS):
+    """SciPy's adaptive Nelder-Mead at the search's tolerances, as ``(fun, x, nfev)``.
+
+    SciPy is a test dependency only, so it is imported here.
+    """
+    from scipy.optimize import minimize
+
+    res = minimize(
+        objective,
+        np.array(start),
+        method="Nelder-Mead",
+        options={"fatol": minimize_module._FATOL, "xatol": minimize_module._XATOL,
+                 "maxfev": maxfev, "adaptive": True},
+    )
+    return float(res.fun), res.x.tolist(), int(res.nfev)
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize(
+        "objective, start, nfev",
+        [
+            (rosenbrock, [-1.2, 1.0], 249),
+            (rosenbrock, [1.3, 0.7, 0.8, 1.9, 1.2], 963),
+            (scaled_quadratic, [0.0, 0.0, 0.0], 601),
+            (rastrigin, [2.2, -1.7, 0.6], 325),  # takes shrink steps
+            (parabola, [1.0], 42),
+            (parabola, [0.0], 62),  # a zero coordinate steps by 0.00025
+            (walled_bowl(math.inf), [1.95, 0.5], None),  # one start vertex is inf
+        ],
+        ids=["rosenbrock-2d", "rosenbrock-5d", "quadratic-3d", "rastrigin-3d", "parabola-1d",
+             "parabola-1d-zero", "walled"],
+    )
+    def test_matches_scipy_adaptive_nelder_mead(self, objective, start, nfev):
+        ours = _nelder_mead(objective, start)
+        assert ours == scipy_search(objective, start)
+        if nfev is not None:
+            assert ours[2] == nfev
+
+    @pytest.mark.parametrize("maxfev", [1, 2, 57])
+    @pytest.mark.parametrize("start", [[-1.2, 1.0], [1.3, 0.7, 0.8, 1.9, 1.2]], ids=["2d", "5d"])
+    def test_evaluation_budget_cuts_the_search(self, start, maxfev):
+        ours = _nelder_mead(rosenbrock, start, maxfev)
+        assert ours[2] == maxfev
+        assert ours == scipy_search(rosenbrock, start, maxfev)
+
+    def test_tied_inf_vertices_still_reach_the_minimum(self):
+        # Both grown vertices of the start simplex hit the wall.
+        value, point, _ = _nelder_mead(walled_bowl(math.inf), [1.95, 2.9])
+        assert value == pytest.approx(0.0, abs=1e-15)
+        assert point == pytest.approx([1.0, 1.0], abs=1e-6)
+
+    def test_nan_counts_as_inf(self):
+        for start in ([1.95, 0.5], [1.95, 2.9]):
+            assert _nelder_mead(walled_bowl(math.nan), start) == _nelder_mead(
+                walled_bowl(math.inf), start
+            )
 
 
 class TestOverlap:
