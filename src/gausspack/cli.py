@@ -96,11 +96,19 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(document: dict, out: Optional[str]) -> None:
+    """Write ``document`` as the text ``json.dumps(document, indent=2)`` gives.
+
+    The chunks of the indented encoding go straight into one text buffer;
+    ``json.dumps`` would first hold them all in a list, several times the
+    size of the text.  Nothing is written unless the whole document encodes.
+    """
+    encoder = json.JSONEncoder(indent=2, allow_nan=False, default=_json_default)
+    buffer = io.StringIO()
     try:
-        text = json.dumps(document, indent=2, allow_nan=False, default=_json_default)
+        buffer.writelines(encoder.iterencode(document))
     except ValueError as exc:  # a NaN or infinity somewhere in the document
         raise InvalidParameterError(f"cannot serialize to JSON: {exc}") from None
-    _emit(text, out)
+    _emit(buffer.getvalue(), out)
 
 
 def _read_json(path: str) -> Any:

@@ -8,7 +8,7 @@ through derivative-free search.  The main test suite pits these routes
 against the closed forms.
 """
 
-from .quadrature import QuadratureSpec, gauss_legendre_2d, integrate_adaptive
+from .quadrature import Gaussian, QuadratureSpec, gauss_legendre_2d, integrate_adaptive
 from .observables import Observable, momentum_monomial, position_monomial
 from .moments import expectation, norm_integral, wigner_fourth_moment
 from .minimize import MinimizeOutcome, minimize_free
@@ -16,6 +16,7 @@ from .overlap import overlap_integral, overlap_integrals
 from .propagate import propagate_free, propagate_magnetic, propagate_oscillator
 
 __all__ = [
+    "Gaussian",
     "QuadratureSpec",
     "gauss_legendre_2d",
     "integrate_adaptive",

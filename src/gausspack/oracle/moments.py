@@ -31,11 +31,18 @@ import numpy as np
 
 from ..constants import HBAR
 from ..errors import InvalidParameterError
-from ..packet import RealParams, density, first_moments
+from ..packet import RealParams, first_moments, log_normalization
 from .observables import Observable
-from .quadrature import QuadratureSpec, integrate_adaptive
+from .quadrature import Gaussian, QuadratureSpec, integrate_adaptive
 
-__all__ = ["expectation", "norm_integral", "integration_box", "wigner_fourth_moment"]
+__all__ = [
+    "expectation",
+    "norm_integral",
+    "integration_box",
+    "density_gaussian",
+    "wavefunction_gaussian",
+    "wigner_fourth_moment",
+]
 
 Poly = Dict[Tuple[int, int], complex]
 
@@ -101,6 +108,49 @@ def _observable_polynomial(params: RealParams, obs: Observable) -> Poly:
     return total
 
 
+def wavefunction_gaussian(params: RealParams) -> Gaussian:
+    """The packet's wavefunction as a quadrature :class:`Gaussian`.
+
+    ``psi = exp(-mu (a x^2 + b x y + c y^2) + f x + g y + log N)``, the
+    expression :func:`~gausspack.packet.wavefunction` evaluates.  ``log N``
+    is taken directly, so a packet displaced so far that ``N`` underflows
+    still has a finite exponent.
+    """
+    mu = params.mu
+    return Gaussian(
+        -mu * params.quad_a,
+        -mu * params.quad_b,
+        -mu * params.quad_c,
+        params.lin_f,
+        params.lin_g,
+        complex(log_normalization(params)),
+    )
+
+
+def density_gaussian(params: RealParams) -> Gaussian:
+    """The packet's density ``|psi|^2`` as a real quadrature :class:`Gaussian`.
+
+    Twice the real part of :func:`wavefunction_gaussian`'s exponent,
+    written about the centroid ``(x0, y0)`` where its linear part vanishes:
+    ``log(mu sqrt(delta) / pi) - mu (alpha u^2 + 2 beta u v + gamma v^2)``,
+    the expression :func:`~gausspack.packet.density` evaluates.  About the
+    origin instead, a far-displaced, strongly correlated packet's density
+    would lose digits to cancellation between its quadratic and linear terms.
+    """
+    mu = params.mu
+    x0, y0, _, _ = first_moments(params)
+    return Gaussian(
+        -mu * params.alpha,
+        -2.0 * mu * params.beta,
+        -mu * params.gamma,
+        0.0,
+        0.0,
+        math.log(mu * math.sqrt(params.delta) / math.pi),
+        x0,
+        y0,
+    )
+
+
 def integration_box(
     params: RealParams, half_width_sigmas: float = 8.5, pad: float = 0.0
 ) -> tuple[float, float, float, float]:
@@ -140,17 +190,18 @@ def _centred_moments(
 
     ``(xc, yc)`` is the centre of ``box``.  All ``width**2`` moments are the
     components of one stacked adaptive integral: on each rule pass the
-    integrand is the factor triple ``(Vx[a], rho, Vy[b])`` of the node
-    powers about the centre and the density on the open grid, so they share
-    one partition and ``abs_tol`` bounds each moment's summed error.
+    integrand is the triple ``(Vx[a], rho, Vy[b])`` of the node powers
+    about the centre and the density as a real :class:`Gaussian`, so they
+    share one partition and ``abs_tol`` bounds each moment's summed error.
     """
     xc, yc = _centre(box)
     pa, pb = np.divmod(np.arange(width * width), width)
+    rho = density_gaussian(params)
 
-    def integrand(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def integrand(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Gaussian, np.ndarray]:
         vx = np.vander(x[:, 0] - xc, width, increasing=True).T
         vy = np.vander(y[0] - yc, width, increasing=True).T
-        return vx[pa], density(params, x[:, :1], y[:1, :]), vy[pb]
+        return vx[pa], rho, vy[pb]
 
     moments = integrate_adaptive(integrand, box, quad).reshape(width, width)
     moments.flags.writeable = False

@@ -8,13 +8,18 @@ with the exact quadratic kernel of the corresponding Hamiltonian (free
 particle, isotropic oscillator, uniform magnetic field in symmetric gauge).
 For every target ``r_i`` each kernel factors as ``A_i(x') B_i(y')``, so one
 adaptive quadrature over a stacked integrand serves all targets, and the
-targets share one partition.  The integrand hands the rule the factors
-``(A, psi, B)`` rather than their ``(T, n, n)`` product, so a rule pass
-costs one ``psi`` evaluation on the ``n x n`` nodes, ``2 T n``
-exponentials and one ``(T, n) x (n, n)`` matrix product for ``T`` targets.
-The checks compare these values with an evolution law's wavefunction up to
-one phase, so the analytic laws are tested without sharing any algebra with
-the kernels.
+targets share one partition.  The integrand hands the rule the triple
+``(A, psi, B)``, with ``psi`` not as values but as its Gaussian exponent
+(:func:`~gausspack.oracle.moments.wavefunction_gaussian`: the coefficients
+``-mu a``, ``-mu b``, ``-mu c``, ``f``, ``g`` and ``log N``).  The rule
+evaluates it per panel (see :mod:`~gausspack.oracle.quadrature`), so a rule
+pass for ``T`` targets on ``n x n`` nodes costs ``2 T n`` complex
+exponentials for the kernel factors, one real ``exp`` over the nodes for
+``|psi|``, two rows of ``n`` phases, one cached cross-phase matrix and one
+``(T, n) x (n, n)`` matrix product; a complex exponential over the nodes
+is taken only to fill a cache entry.  The checks compare these values with an evolution law's
+wavefunction up to one phase, so the analytic laws are tested without
+sharing any algebra with the kernels.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ import numpy as np
 
 from ..constants import HBAR, MASS
 from ..errors import InvalidParameterError
-from ..packet import RealParams, wavefunction
-from .moments import integration_box
-from .quadrature import QuadratureSpec, integrate_adaptive
+from ..packet import RealParams
+from .moments import integration_box, wavefunction_gaussian
+from .quadrature import Gaussian, QuadratureSpec, integrate_adaptive
 
 __all__ = ["propagate_free", "propagate_oscillator", "propagate_magnetic"]
 
@@ -57,10 +62,11 @@ def _target_axes(targets: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np
 
 def _propagate(params: RealParams, factors: _Factors, quad: QuadratureSpec) -> np.ndarray:
     box = integration_box(params, quad.half_width_sigmas)
+    psi = wavefunction_gaussian(params)
 
-    def integrand(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def integrand(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, Gaussian, np.ndarray]:
         a, b = factors(xs[:, 0], ys[0, :])
-        return a, wavefunction(params, xs[:, :1], ys[:1, :]), b
+        return a, psi, b
 
     return integrate_adaptive(integrand, box, quad)
 

@@ -42,6 +42,7 @@ __all__ = [
     "covariances",
     "gaussian_state",
     "angular_split",
+    "log_normalization",
     "normalization",
     "wavefunction",
     "density",
@@ -349,12 +350,11 @@ def angular_split(params: RealParams) -> AngularSplit:
     return AngularSplit(center=center, intrinsic=intrinsic)
 
 
-def normalization(params: RealParams) -> float:
-    """Modulus of the normalization prefactor.
+def log_normalization(params: RealParams) -> float:
+    """Natural logarithm of :func:`normalization`.
 
-    For a centered packet ``|N|^2 = mu*sqrt(delta)/pi``; displacing the
-    packet multiplies the prefactor by ``exp(-mu*(alpha x0^2 + 2 beta x0 y0
-    + gamma y0^2)/2)`` so the total probability stays one.
+    It stays finite for a packet displaced so far that the prefactor
+    itself underflows to 0.
     """
     x0, y0, _, _ = first_moments(params)
     quad0 = (
@@ -366,7 +366,17 @@ def normalization(params: RealParams) -> float:
         - math.log(math.pi)
         - params.mu * quad0
     )
-    return math.exp(0.5 * log_n2)
+    return 0.5 * log_n2
+
+
+def normalization(params: RealParams) -> float:
+    """Modulus of the normalization prefactor.
+
+    For a centered packet ``|N|^2 = mu*sqrt(delta)/pi``; displacing the
+    packet multiplies the prefactor by ``exp(-mu*(alpha x0^2 + 2 beta x0 y0
+    + gamma y0^2)/2)`` so the total probability stays one.
+    """
+    return math.exp(log_normalization(params))
 
 
 def wavefunction(params: RealParams, x, y) -> np.ndarray:

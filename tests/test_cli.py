@@ -495,6 +495,35 @@ class TestJsonWriter:
             cli._emit_json({"nested": {"value": bad}}, None)
         assert capsys.readouterr().out == ""
 
+    def test_same_bytes_as_json_dumps(self, capsys, tmp_path, monkeypatch):
+        documents = []
+        emit = cli._emit_json
+        monkeypatch.setattr(cli, "_emit_json", lambda doc, out: (documents.append(doc), emit(doc, out)))
+        out = tmp_path / "evolve.json"
+        assert main(["evolve", "--kind", "oscillator", "--Li", "0.5", "--Lc", "1", "--co",
+                     "--t0", "0", "--t1", "6", "--steps", "300", "--out", str(out)]) == 0
+        (document,) = documents
+        document["extras"] = {"complex": complex(1.5, -2.0), "matrix": np.eye(2),
+                              "flag": np.bool_(False), "count": np.int64(3), "empty": [],
+                              "text": "\u00e9\n", "single": np.float32(0.1)}
+        want = json.dumps(document, indent=2, allow_nan=False, default=cli._json_default) + "\n"
+        emit(document, str(out))
+        assert out.read_text(encoding="utf-8") == want
+        capsys.readouterr()
+        emit(document, None)
+        assert capsys.readouterr().out == want
+
+    def test_non_finite_value_writes_no_file(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        rows = [{"t": float(k), "value": 1.0 / (k - 1999) if k < 1999 else math.nan}
+                for k in range(2000)]
+        with pytest.raises(gp.InvalidParameterError, match="cannot serialize"):
+            cli._emit_json({"rows": rows}, str(out))
+        assert not out.exists()
+        with pytest.raises(gp.InvalidParameterError):
+            cli._emit_json({"rows": rows}, None)
+        assert capsys.readouterr().out == ""
+
     def test_unknown_types_are_refused(self):
         with pytest.raises(gp.InvalidParameterError):
             cli._emit_json({"value": object()}, None)

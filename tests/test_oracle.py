@@ -34,7 +34,12 @@ from gausspack.oracle.propagate import (
     propagate_oscillator,
 )
 from gausspack.oracle import quadrature as quadrature_module
-from gausspack.oracle.quadrature import QuadratureSpec, gauss_legendre_2d, integrate_adaptive
+from gausspack.oracle.quadrature import (
+    Gaussian,
+    QuadratureSpec,
+    gauss_legendre_2d,
+    integrate_adaptive,
+)
 
 
 GENERIC = RealParams(mu=1.1, alpha=1.3, beta=0.4, gamma=0.9, chi_a=-0.5,
@@ -48,6 +53,12 @@ DISPLACED = RealParams(mu=1.0, alpha=0.6, beta=-0.3, gamma=1.8, chi_a=1.2,
 
 #: A minimal packet whose internal and centre motions rotate in opposite senses.
 ANTI = MinPacketSpec(l_i_abs=0.6, l_c_abs=0.9, sign_i=1, sign_c=-1, u=0.5, v=2.0, omega=0.9)
+
+
+def gaussian_values(g, x, y):
+    """A quadrature ``Gaussian`` evaluated directly, as one complex exponential."""
+    u, v = x - g.x0, y - g.y0
+    return np.exp(g.xx * u**2 + g.xy * u * v + g.yy * v**2 + g.x * u + g.y * v + g.const)
 
 
 # The propagator kernels K(r, r'; t) written out whole (unit mass), as a
@@ -180,25 +191,30 @@ class TestQuadrature:
     def test_factor_triple_matches_dense_stack(self, rng, n_targets, order):
         box = (-0.4, 0.6, -0.7, 0.3)  # unit area, so |integral| <= max|v|
         cx, cy = rng.uniform(-1.0, 1.0, size=(2, n_targets, 1))
+        cores = [
+            Gaussian(-1.0, 3j, -2.0, 0.0, 0.0, 0.0),
+            # Complex only in its constant, and about an origin of its own.
+            Gaussian(-1.0, 0.5, -2.0, 0.3, -0.2, 0.7j, 0.25, -0.5),
+        ]
+        for core in cores:
 
-        def factors(x, y):
-            xs, ys = x[:, 0], y[0, :]
-            core = np.exp(-(x[:, :1] ** 2) - 2.0 * y[:1, :] ** 2 + 3j * x[:, :1] * y[:1, :])
-            return np.exp(5j * (xs - cx) ** 2), core, (1.0 + ys) * np.exp(-4j * cy * ys)
+            def factors(x, y):
+                xs, ys = x[:, 0], y[0, :]
+                return np.exp(5j * (xs - cx) ** 2), core, (1.0 + ys) * np.exp(-4j * cy * ys)
 
-        peak = []
+            peak = []
 
-        def dense(x, y):
-            a, core, b = factors(x, y)
-            values = a[:, :, None] * core * b[:, None, :]
-            peak.append(np.max(np.abs(values), initial=0.0))
-            return values
+            def dense(x, y):
+                a, g, b = factors(x, y)
+                values = a[:, :, None] * gaussian_values(g, x, y) * b[:, None, :]
+                peak.append(np.max(np.abs(values), initial=0.0))
+                return values
 
-        got = gauss_legendre_2d(factors, box, order)
-        want = gauss_legendre_2d(dense, box, order)
-        assert got.shape == want.shape == (n_targets,)
-        assert got.dtype == complex
-        assert np.all(np.abs(got - want) <= 1e-15 * peak[0])
+            got = gauss_legendre_2d(factors, box, order)
+            want = gauss_legendre_2d(dense, box, order)
+            assert got.shape == want.shape == (n_targets,)
+            assert got.dtype == complex
+            assert np.all(np.abs(got - want) <= 1e-15 * peak[0]), core
 
     def test_one_component_over_budget_raises(self):
         spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-12, max_splits=0)
@@ -810,9 +826,10 @@ class TestRankOneKernels:
         call(params, [tuple(p) for p in pts])
         (integrand,) = seen
         X, Y = np.meshgrid(rng.uniform(-1.5, 1.5, 11), rng.uniform(-1.5, 1.5, 9), indexing="ij")
-        a, core, b = integrand(X, Y)
-        assert (a.shape, core.shape, b.shape) == ((7, 11), (11, 9), (7, 9))
-        got = a[:, :, None] * core * b[:, None, :]
+        a, psi, b = integrand(X, Y)
+        assert isinstance(psi, Gaussian)
+        assert (a.shape, b.shape) == ((7, 11), (7, 9))
+        got = a[:, :, None] * gaussian_values(psi, X, Y) * b[:, None, :]
         x = pts[:, 0, None, None]
         y = pts[:, 1, None, None]
         want = kernel(x, y, X, Y) * gp.wavefunction(params, X, Y)
@@ -853,10 +870,170 @@ class TestFactoredRulePasses:
         passes.clear()
 
         def dense(xs, ys):
-            a, core, b = integrand(xs, ys)
-            return a[:, :, None] * core * b[:, None, :]
+            a, psi, b = integrand(xs, ys)
+            return a[:, :, None] * gaussian_values(psi, xs, ys) * b[:, None, :]
 
         want = integrate_adaptive(dense, box, spec)
         assert factored_passes == sorted(passes)
         # Relative to the largest value: the focused packet is ~1e-7 at the far probes.
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def stress_packet() -> RealParams:
+    """Anisotropic, nearly degenerate, chirped and far displaced.
+
+    Widths in the ratio 39:1, correlation ``beta / sqrt(alpha gamma) =
+    0.995``, a phase curvature along the narrow axis 5 times the real one,
+    and a centroid 20 standard deviations out along the wide axis.
+    """
+    alpha, gamma, corr, chirp = 3.0, 40.0, 0.995, 5.0
+    beta = corr * math.sqrt(alpha * gamma)
+    (l_wide, l_narrow), axes = np.linalg.eigh([[alpha, beta], [beta, gamma]])
+    wide, narrow = axes[:, 0], axes[:, 1]
+    c = chirp * l_narrow / 2.0
+    base = RealParams(mu=1.0, alpha=alpha, beta=beta, gamma=gamma, chi_a=c * narrow[0] ** 2,
+                      chi_c=c * narrow[1] ** 2, rho=2.0 * c * narrow[0] * narrow[1])
+    x0, y0 = 20.0 / math.sqrt(2.0 * l_wide) * wide
+    return gp.params_from_moments(base, x0, y0, 0.7, -0.4)
+
+
+STRESS = stress_packet()
+
+
+def exponent_size(g, x, y):
+    """Sum of the moduli of the exponent's terms: its rounding is about eps times this."""
+    u, v = x - g.x0, y - g.y0
+    return (abs(g.xx) * u**2 + abs(g.xy) * abs(u * v) + abs(g.yy) * v**2
+            + abs(g.x) * abs(u) + abs(g.y) * abs(v) + abs(g.const))
+
+
+class TestGaussianTriples:
+    """The rule evaluates a Gaussian itself, as the dense product would, only cheaper."""
+
+    PACKETS = [("generic", GENERIC), ("displaced", DISPLACED),
+               ("anti", gp.build_min_packet(ANTI)), ("stress", STRESS)]
+
+    def test_stress_packet_is_stressed(self):
+        p = STRESS
+        r = math.hypot(p.alpha - p.gamma, 2.0 * p.beta)
+        l_min, l_max = 0.5 * (p.alpha + p.gamma - r), 0.5 * (p.alpha + p.gamma + r)
+        assert math.sqrt(l_max / l_min) >= 20.0
+        assert abs(p.beta) / math.sqrt(p.alpha * p.gamma) >= 0.99
+        x0, y0, _, _ = gp.first_moments(p)
+        # Mahalanobis distance of the centroid from the origin, in density sigmas.
+        quad = p.alpha * x0**2 + 2.0 * p.beta * x0 * y0 + p.gamma * y0**2
+        assert math.sqrt(2.0 * p.mu * quad) >= 20.0 - 1e-9
+        chirp = np.linalg.eigvalsh([[p.chi_a, p.rho / 2.0], [p.rho / 2.0, p.chi_c]])
+        assert np.max(np.abs(chirp)) >= 5.0 * l_max / 2.0 - 1e-9
+
+    @pytest.mark.parametrize("kind", ["psi", "rho"])
+    @pytest.mark.parametrize("name, params", PACKETS, ids=[c[0] for c in PACKETS])
+    def test_rule_matches_dense_product(self, rng, name, params, kind):
+        if kind == "psi":
+            g, values = moments_module.wavefunction_gaussian(params), gp.wavefunction
+        else:
+            g, values = moments_module.density_gaussian(params), gp.density
+        box = integration_box(params)
+        x0, y0, _, _ = gp.first_moments(params)
+        targets = rng.uniform(-1.0, 1.0, size=(2, 5, 1))
+        eps = np.finfo(float).eps
+
+        def factors(x, y):
+            # Free-kernel factors for five targets about the centroid.
+            return (np.exp(0.55j * (x0 + targets[0] - x[:, 0]) ** 2),
+                    np.exp(0.55j * (y0 + targets[1] - y[0]) ** 2))
+
+        for depth in range(propagate_module._PROP_QUAD.max_splits + 1):
+            for _ in range(2):
+                i, j = rng.integers(0, 2**depth, size=2)
+                hx, hy = (box[1] - box[0]) / 2**depth, (box[3] - box[2]) / 2**depth
+                panel = (box[0] + i * hx, box[0] + (i + 1) * hx,
+                         box[2] + j * hy, box[2] + (j + 1) * hy)
+                for order in (32, 48):
+                    seen = {}
+
+                    def dense(x, y):
+                        a, b = factors(x, y)
+                        seen["size"] = np.max(exponent_size(g, x, y))
+                        return a[:, :, None] * values(params, x, y) * b[:, None, :]
+
+                    def triple(x, y):
+                        a, b = factors(x, y)
+                        return a, g, b
+
+                    got = gauss_legendre_2d(triple, panel, order)
+                    want = gauss_legendre_2d(dense, panel, order)
+                    scale = gauss_legendre_2d(lambda x, y: np.abs(dense(x, y)), panel, order).real
+                    # 1e-13 relative, widened by the rounding of the exponent
+                    # itself, which both routes carry and which the stress
+                    # packet's far, chirped nodes make the larger term.
+                    tol = (1e-13 + 4.0 * eps * seen["size"]) * scale + 1e-290
+                    assert np.all(np.abs(got - want) <= tol), (depth, panel, order)
+
+    def test_moments_and_free_propagator_on_stress_packet(self):
+        p = STRESS
+        x0, y0, px0, py0 = gp.first_moments(p)
+        cov = gp.covariances(p)
+        assert norm_integral(p) == pytest.approx(1.0, abs=1e-12)
+        first = [expectation(p, o) for o in _COORDS]
+        assert np.all(np.isfinite(first))
+        assert np.allclose(np.real(first), [x0, y0, px0, py0], rtol=0.0, atol=1e-9)
+        var_x = expectation(p, position_monomial(2, 0)).real - x0**2
+        var_px = expectation(p, momentum_monomial(2, 0)).real - px0**2
+        assert var_x == pytest.approx(cov[0, 0], rel=1e-9)
+        assert var_px == pytest.approx(cov[2, 2], rel=1e-9)
+        L = expectation(p, angular_momentum_op())
+        assert L.real == pytest.approx(HBAR * gp.angular_split(p).total, abs=1e-9)
+        t = 0.3
+        evolved = gp.evolve_free(p, t).params
+        xe, ye, _, _ = gp.first_moments(evolved)
+        offsets = 0.5 * gp.ellipse(evolved).a_minus * np.arange(-2.0, 3.0)
+        pts = [(xe + dx, ye + dy) for dx in offsets for dy in offsets]
+        numeric = propagate_free(p, t, pts)
+        assert np.all(np.isfinite(numeric))
+        constant_phase_ratio(numeric, gp.wavefunction(evolved, *np.array(pts).T))
+
+    def test_packet_whose_prefactor_underflows_still_propagates(self):
+        # Centred 40 widths out with no momentum: |N| = exp(-800) underflows
+        # to 0, and the evolved packet is the centred one's, translated.
+        centred = RealParams(mu=1.0, alpha=1.0, beta=0.0, gamma=1.0, chi_a=0.0, chi_c=0.0, rho=0.0)
+        far = gp.params_from_moments(centred, 40.0, 0.0, 0.0, 0.0)
+        assert gp.normalization(far) == 0.0
+        got = propagate_free(far, 0.5, [(40.0 + x, y) for x, y in PROBES])
+        want = propagate_free(centred, 0.5, PROBES)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    def test_passes_evaluate_no_wavefunction_or_density(self, monkeypatch, cold_cache):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rule pass evaluated the packet pointwise")
+
+        for module in (gp.packet, moments_module, propagate_module):
+            for name in ("wavefunction", "density"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert norm_integral(GENERIC) == pytest.approx(1.0, abs=1e-12)
+        expectation(DISPLACED, angular_momentum_op().squared())
+        propagate_free(GENERIC, 0.9, PROBES)
+        propagate_oscillator(GENERIC, 0.7, PROBES, omega=1.3)
+        propagate_magnetic(GENERIC, 0.8, PROBES, omega_larmor=-0.9)
+
+    def test_cross_phase_cache_does_not_change_values(self):
+        cache = quadrature_module._weighted_cross_phase
+
+        def run(params):
+            return propagate_magnetic(params, 0.8, PROBES, omega_larmor=-0.9)
+
+        cache.cache_clear()
+        cold = run(GENERIC)
+        assert np.array_equal(run(GENERIC), cold)
+        other = run(DISPLACED)
+        assert np.array_equal(run(GENERIC), cold)
+        cache.cache_clear()
+        assert np.array_equal(run(DISPLACED), other)
+        for params in (GENERIC, DISPLACED, STRESS, gp.build_min_packet(ANTI)):
+            propagate_free(params, 0.45, PROBES)
+        info = cache.cache_info()
+        assert info.hits > info.misses > 0
+        assert info.currsize <= info.maxsize == quadrature_module._CROSS_PHASES
+        # At most about 1 MB even were every entry of the larger default order.
+        assert info.maxsize * 48 * 48 * np.dtype(complex).itemsize <= 1.2e6
