@@ -9,16 +9,27 @@ phase-space coordinates against a centered Gaussian with a given covariance
 using tensor Gauss-Hermite quadrature; it never invokes the pairing formula
 it is used to validate.
 
-A packet's moments all weigh the same density on the same box, so they
-share one stacked adaptive integral: the matrix ``M`` of centred moments
-``int (x - xc)^a (y - yc)^b rho`` about the box centre, for ``a, b <
-width`` with ``width = max(3, n_x, n_y)`` set by the shape of the
-observable's coefficient matrix.  An expectation is a binomial
-re-expansion of its polynomial about the centre contracted with ``M``.
-Each ``M[a, b]`` meets ``abs_tol`` on its own, so an expectation's error
-is bounded by ``sum_ab |C'[a, b]| err[a, b]`` (see :func:`expectation`).
-The last ``_CACHE_SIZE`` matrices are kept; a value is never read from a
-wider matrix than its own width, so it does not depend on earlier calls.
+A packet's moments are integrated in its principal frame, ``x = c + T
+(xi, eta)``: ``c`` is the centroid and ``T = R diag(sigma_1, sigma_2)``
+holds the principal axes and standard deviations of the density, read
+from ``alpha``, ``beta``, ``gamma`` and ``mu`` as the density's own
+exponent is.  There the density is a standard normal, whatever the
+packet's widths, tilt or displacement, so one square ``[-h, h]^2`` with
+``h = half_width_sigmas`` serves every packet, one split of it meets the
+budget (10 rule passes), and the absolute ``abs_tol`` acts as a relative
+budget on moments of order 1.  All moments share one stacked adaptive
+integral: the matrix ``M[a, b] = int xi^a eta^b rho~`` for ``a + b <
+width``.  An
+observable's polynomial ``P`` of total degree ``d`` is composed with the
+map into ``sum_ab C''[a, b] xi^a eta^b``, from the frame coefficients of
+each ``x^i y^j``, cached per packet, and ``width = max(3, d + 1)``; so the
+norm, the 4 first and 10 second moments and ``<L>`` share one width-3
+matrix and ``<L^2>`` takes a width-5 one.  Each ``M[a, b]`` meets
+``abs_tol`` on its own, so an expectation's error is bounded by ``sum_ab
+|C''[a, b]| err[a, b]`` (see :func:`expectation`).  The last
+``_CACHE_SIZE`` matrices are kept; a value is never read from a wider
+matrix than its own width, so it does not depend on earlier calls.
+Propagators and overlaps still integrate over :func:`integration_box`.
 """
 
 from __future__ import annotations
@@ -71,12 +82,9 @@ def _poly_add(p: Poly, q: Poly, scale: complex = 1.0) -> Poly:
     return out
 
 
-def _coefficient_matrix(p: Poly) -> np.ndarray:
-    """Dense matrix ``C`` with ``P(x, y) = sum_ij C[i, j] x^i y^j``."""
-    coeffs = np.zeros(
-        (1 + max((i for i, _ in p), default=0), 1 + max((j for _, j in p), default=0)),
-        dtype=complex,
-    )
+def _coefficient_matrix(p: Poly, width: int) -> np.ndarray:
+    """``(width, width)`` matrix ``C`` with ``P(x, y) = sum_ij C[i, j] x^i y^j``."""
+    coeffs = np.zeros((width, width), dtype=complex)
     for (i, j), c in p.items():
         coeffs[i, j] = c
     return coeffs
@@ -158,7 +166,8 @@ def integration_box(
 
     The half-width is a multiple of the largest principal standard
     deviation of ``|psi|^2``; ``pad`` adds an absolute margin (useful when a
-    second, origin-centered function shares the grid).
+    second, origin-centered function shares the grid).  Propagators and
+    overlaps integrate over it; moments use the principal frame instead.
     """
     x0, y0, _, _ = first_moments(params)
     r = math.hypot(params.alpha - params.gamma, 2.0 * params.beta)
@@ -168,91 +177,162 @@ def integration_box(
     return (x0 - hw, x0 + hw, y0 - hw, y0 + hw)
 
 
-#: Centred moment matrices kept.  A packet takes one entry per width (3 for
-#: its first and second moments, <L> and the norm, 5 for <L^2>), so this
-#: holds about two packets; a longer sweep recomputes, one integral a packet.
+#: Frames, moment matrices and frame powers kept.  A packet takes one
+#: moment matrix and one power table per width (3 for its first and second
+#: moments, <L> and the norm, 5 for <L^2>), so this holds about two packets;
+#: a longer sweep recomputes, one integral a packet.
 _CACHE_SIZE = 4
 
+#: ``((T00, T01), (T10, T11)), (cx, cy)``: the map ``x = c + T (xi, eta)``.
+Frame = Tuple[Tuple[Tuple[float, float], Tuple[float, float]], Tuple[float, float]]
 
-def _centre(box: tuple[float, float, float, float]) -> tuple[float, float]:
-    x0, x1, y0, y1 = box
-    return 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+
+def _principal_axes(params: RealParams) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, sigma)``: the rotation to the principal axes of ``rho`` and its
+    standard deviations along them, ``sigma_i = 1 / sqrt(2 lambda_i)``.
+
+    ``lambda_i`` are the eigenvalues of ``mu [[alpha, beta], [beta,
+    gamma]]``.  The larger comes without cancellation; the smaller is
+    ``mu^2 delta / lambda_1``, so the frame shares ``delta`` with the
+    density's normalisation instead of losing about ``eps`` times the
+    condition number to the difference ``alpha + gamma - r``.
+    """
+    mu, alpha, beta, gamma = params.mu, params.alpha, params.beta, params.gamma
+    big = 0.5 * mu * (alpha + gamma + math.hypot(alpha - gamma, 2.0 * beta))
+    small = mu * mu * params.delta / big
+    angle = 0.5 * math.atan2(2.0 * beta, alpha - gamma)
+    cos, sin = math.cos(angle), math.sin(angle)
+    rotation = np.array([[cos, -sin], [sin, cos]])
+    sigmas = np.array([1.0 / math.sqrt(2.0 * big), 1.0 / math.sqrt(2.0 * small)])
+    return rotation, sigmas
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _centred_moments(
-    params: RealParams,
-    quad: QuadratureSpec,
-    box: tuple[float, float, float, float],
-    width: int,
-) -> np.ndarray:
-    """Read-only ``M[a, b] = int (x - xc)^a (y - yc)^b rho dx dy``, ``a, b < width``.
+def _principal_frame(params: RealParams) -> Frame:
+    """``T = R diag(sigma)`` and the centroid: ``rho`` is a standard normal in it."""
+    rotation, sigmas = _principal_axes(params)
+    x0, y0, _, _ = first_moments(params)
+    (t00, t01), (t10, t11) = (rotation * sigmas).tolist()
+    return ((t00, t01), (t10, t11)), (x0, y0)
 
-    ``(xc, yc)`` is the centre of ``box``.  All ``width**2`` moments are the
-    components of one stacked adaptive integral: on each rule pass the
-    integrand is the triple ``(Vx[a], rho, Vy[b])`` of the node powers
-    about the centre and the density as a real :class:`Gaussian`, so they
-    share one partition and ``abs_tol`` bounds each moment's summed error.
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _frame_moments(
+    params: RealParams, quad: QuadratureSpec, frame: Frame, width: int
+) -> np.ndarray:
+    """Read-only ``M[a, b] = int xi^a eta^b rho~ dxi deta`` for ``a + b < width``.
+
+    ``rho~(xi, eta) = rho(c + T (xi, eta)) |det T|`` is the density in the
+    ``frame`` ``(T, c)``; entries with ``a + b >= width`` are 0.  Its
+    exponent is :func:`density_gaussian`'s under the map: no linear term,
+    the constant plus ``log |det T|``, and the quadratic form ``T^T A T``
+    with ``A = mu [[alpha, beta], [beta, gamma]]``.  ``A`` is taken in its
+    factored form ``T0^-T T0^-1 / 2`` through the principal frame ``T0``,
+    so ``T^T A T = G^T G / 2`` with ``G = T0^-1 T``; the rule never
+    evaluates the lab-frame form, whose entries cancel to ``eps`` times
+    the condition number on a long, tilted packet.  The box is centred on
+    the density and spans ``half_width_sigmas`` of its standard deviation
+    along each frame axis, ``sqrt(diag(T^-1 Sigma T^-T))`` with ``Sigma``
+    the density's covariance; in the principal frame it is
+    ``[-h, h]^2``.  All moments are the components of one stacked adaptive
+    integral whose integrand is the triple ``(xi^a, rho~, eta^b)``.
     """
-    xc, yc = _centre(box)
-    pa, pb = np.divmod(np.arange(width * width), width)
+    rotation, sigmas = _principal_axes(params)
     rho = density_gaussian(params)
+    t_matrix, origin = np.array(frame[0]), np.array(frame[1])
+    g_matrix = (rotation.T @ t_matrix) / sigmas[:, None]
+    (g00, g01), (g10, g11) = g_matrix
+    det_g = g00 * g11 - g01 * g10
+    g_inverse = np.array([[g11, -g01], [-g10, g00]]) / det_g
+    offset = np.array([rho.x0, rho.y0]) - origin
+    xi0, eta0 = g_inverse @ ((rotation.T @ offset) / sigmas)
+    form = 0.5 * g_matrix.T @ g_matrix
+    log_det = math.log(sigmas[0]) + math.log(sigmas[1]) + math.log(abs(det_g))
+    core = Gaussian(
+        float(-form[0, 0]), float(-2.0 * form[0, 1]), float(-form[1, 1]),
+        0.0, 0.0, rho.const + log_det, float(xi0), float(eta0),
+    )
+    hx, hy = quad.half_width_sigmas * np.sqrt(np.sum(g_inverse**2, axis=1))
+    box = (xi0 - hx, xi0 + hx, eta0 - hy, eta0 + hy)
+    pa, pb = np.nonzero(np.add.outer(np.arange(width), np.arange(width)) < width)
 
     def integrand(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Gaussian, np.ndarray]:
-        vx = np.vander(x[:, 0] - xc, width, increasing=True).T
-        vy = np.vander(y[0] - yc, width, increasing=True).T
-        return vx[pa], rho, vy[pb]
+        vx = np.vander(x[:, 0], width, increasing=True).T
+        vy = np.vander(y[0], width, increasing=True).T
+        return vx[pa], core, vy[pb]
 
-    moments = integrate_adaptive(integrand, box, quad).reshape(width, width)
+    moments = np.zeros((width, width))
+    moments[pa, pb] = integrate_adaptive(integrand, box, quad).real
     moments.flags.writeable = False
     return moments
 
 
-def _binomial_shift(centre: float, n: int, width: int) -> np.ndarray:
-    """``S`` with ``x^i = sum_a S[a, i] (x - centre)^a``, shape ``(width, n)``."""
-    shift = np.zeros((width, n))
-    for i in range(n):
-        for a in range(i + 1):
-            shift[a, i] = math.comb(i, a) * centre ** (i - a)
-    return shift
+@lru_cache(maxsize=_CACHE_SIZE)
+def _frame_powers(frame: Frame, width: int) -> np.ndarray:
+    """Read-only ``F`` with ``x^i y^j = sum_ab F[i, j, a, b] xi^a eta^b`` for ``i + j < width``.
+
+    ``x = cx + T00 xi + T01 eta`` and ``y = cy + T10 xi + T11 eta``; each
+    power is the previous one times that linear form.  Entries with
+    ``i + j >= width`` are 0.
+    """
+    ((t00, t01), (t10, t11)), (cx, cy) = frame
+
+    def times(p: np.ndarray, const: float, along_xi: float, along_eta: float) -> np.ndarray:
+        out = const * p
+        out[..., 1:, :] += along_xi * p[..., :-1, :]
+        out[..., :, 1:] += along_eta * p[..., :, :-1]
+        return out
+
+    powers = np.zeros((width,) * 4)
+    powers[0, 0, 0, 0] = 1.0
+    for j in range(1, width):
+        powers[0, j] = times(powers[0, j - 1], cy, t10, t11)
+    for i in range(1, width):
+        powers[i] = times(powers[i - 1], cx, t00, t01)
+    powers[np.add.outer(np.arange(width), np.arange(width)) >= width] = 0.0
+    powers.flags.writeable = False
+    return powers
+
+
+def _frame_expectation(
+    params: RealParams, obs: Observable, quad: QuadratureSpec, frame: Frame
+) -> complex:
+    """``<psi| O |psi>`` through the moment matrix of ``frame``; see :func:`expectation`."""
+    poly = _observable_polynomial(params, obs)
+    width = max(3, 1 + max((i + j for i, j in poly), default=0))
+    coeffs = _coefficient_matrix(poly, width).reshape(-1)
+    composed = coeffs @ _frame_powers(frame, width).reshape(width * width, -1)
+    return complex(composed @ _frame_moments(params, quad, frame, width).reshape(-1))
 
 
 def expectation(
-    params: RealParams,
-    obs: Observable,
-    quad: QuadratureSpec | None = None,
-    box: tuple[float, float, float, float] | None = None,
+    params: RealParams, obs: Observable, quad: QuadratureSpec | None = None
 ) -> complex:
     """Quadrature value of ``<psi| O |psi>`` for a normal-ordered observable.
 
-    ``(O psi) = P psi`` for a polynomial ``P(x, y) = sum_ij C[i, j] x^i y^j``.
-    Re-expanded about the box centre, ``C' = Sx C Sy^T`` by the binomial
-    theorem, and the value is ``sum_ab C'[a, b] M[a, b]`` with ``M`` the
-    packet's centred moment matrix of width ``max(3, *C.shape)`` (one
-    cached integral, shared with every observable of that width).  Each
-    ``M[a, b]`` meets ``abs_tol`` on its own, so the value's error is
-    bounded by ``sum_ab |C'[a, b]| err[a, b]``, not by ``abs_tol`` itself.
+    ``(O psi) = P psi`` for a polynomial ``P(x, y) = sum_ij C[i, j] x^i y^j``
+    of total degree ``d``.  In the packet's principal frame ``x = c + T
+    (xi, eta)``, ``P`` becomes ``sum_ab C''[a, b] xi^a eta^b``, with
+    ``C'' = sum_ij C[i, j] F[i, j]`` and ``F`` the frame coefficients of
+    each ``x^i y^j`` (cached per packet), and the value is ``sum_ab
+    C''[a, b] M[a, b]`` with ``M`` the packet's frame moment matrix of width
+    ``max(3, d + 1)`` (one cached integral, shared with every observable of
+    that width).  Each ``M[a, b]`` meets ``abs_tol`` on its own, so the
+    value's error is bounded by ``sum_ab |C''[a, b]| err[a, b]``, not by
+    ``abs_tol`` itself.
     """
     quad = quad or QuadratureSpec()
-    coeffs = _coefficient_matrix(_observable_polynomial(params, obs))
-    n_x, n_y = coeffs.shape
-    width = max(3, n_x, n_y)
-    box = tuple(box) if box is not None else integration_box(params, quad.half_width_sigmas)
-    xc, yc = _centre(box)
-    shifted = _binomial_shift(xc, n_x, width) @ coeffs @ _binomial_shift(yc, n_y, width).T
-    return complex(np.sum(shifted * _centred_moments(params, quad, box, width)))
+    return _frame_expectation(params, obs, quad, _principal_frame(params))
 
 
 def norm_integral(params: RealParams, quad: QuadratureSpec | None = None) -> float:
     """Total probability by quadrature; should be 1 for any valid packet.
 
-    It is ``M[0, 0]`` of the width-3 centred moment matrix that the
-    packet's first and second moments share, so it costs no integral of
-    its own.
+    It is ``M[0, 0]`` of the width-3 frame moment matrix that the packet's
+    first and second moments share, so it costs no integral of its own.
     """
     quad = quad or QuadratureSpec()
-    box = integration_box(params, quad.half_width_sigmas)
-    return float(_centred_moments(params, quad, box, 3)[0, 0].real)
+    return float(_frame_moments(params, quad, _principal_frame(params), 3)[0, 0])
 
 
 @lru_cache(maxsize=8)

@@ -57,8 +57,12 @@ class QuadratureSpec(Record, name="quadrature"):
     the sum meets ``abs_tol`` or every panel has had ``max_splits``
     bisections; a sum still above ``10 * abs_tol`` then raises
     :class:`~gausspack.errors.ToleranceError`.  ``half_width_sigmas``
-    controls how many principal standard deviations of the density the
-    default integration box extends to.  The counts must be integers (an
+    (``h``) sets how far the oracle's integration boxes extend, in standard
+    deviations of the density: moments integrate over ``[-h, h]^2`` in the
+    packet's principal frame (each axis of a box in any other frame spans
+    ``h`` of the density's standard deviation along it), and propagators
+    and overlaps over the lab-frame square of half-width ``h`` times the
+    largest principal standard deviation.  The counts must be integers (an
     integer-valued real such as ``48.0`` is taken) and the tolerance and
     width finite reals; anything else raises
     :class:`~gausspack.errors.InvalidParameterError` naming the field.
@@ -255,7 +259,14 @@ def integrate_adaptive(
     by the two rules disagreeing, so a feature narrower than the node
     spacing of the first panel, which both rules miss, integrates to about
     0 with a zero error estimate and raises nothing.  The oracle's own
-    callers derive the box from the packet's widths for this reason.
+    callers derive the box from the packet's widths for this reason.  The
+    moment integrals go further and change variables to the packet's
+    principal frame ``x = c + T (xi, eta)``, where the density is a
+    standard normal on the square ``[-h, h]^2``, so no feature is narrower
+    than the box by more than a fixed factor, however long or thin the
+    packet (see :mod:`~gausspack.oracle.moments`).  Propagators and
+    overlaps still use a lab-frame square sized by the packet's longest
+    axis, which a narrow enough packet slips through.
 
     Raises
     ------

@@ -385,6 +385,8 @@ def wavefunction(params: RealParams, x, y) -> np.ndarray:
     The prefactor is taken real and positive; every closed form in this
     package uses that same phase convention, so mode-expansion coefficients
     computed analytically and by overlap integrals agree including phase.
+    The prefactor enters the exponent as ``log N``, so a packet displaced
+    so far that ``N`` underflows still evaluates where it is not negligible.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -394,7 +396,7 @@ def wavefunction(params: RealParams, x, y) -> np.ndarray:
         + params.lin_f * x
         + params.lin_g * y
     )
-    return normalization(params) * np.exp(exponent)
+    return np.exp(exponent + log_normalization(params))
 
 
 def density(params: RealParams, x, y) -> np.ndarray:

@@ -55,6 +55,17 @@ DISPLACED = RealParams(mu=1.0, alpha=0.6, beta=-0.3, gamma=1.8, chi_a=1.2,
 ANTI = MinPacketSpec(l_i_abs=0.6, l_c_abs=0.9, sign_i=1, sign_c=-1, u=0.5, v=2.0, omega=0.9)
 
 
+def minimal_packet(l_i, u=0.0, l_c=0.0):
+    return gp.build_min_packet(
+        MinPacketSpec(l_i_abs=l_i, l_c_abs=l_c, sign_i=1, sign_c=1, u=u, v=0.0, omega=1.0)
+    )
+
+
+def rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
 def gaussian_values(g, x, y):
     """A quadrature ``Gaussian`` evaluated directly, as one complex exponential."""
     u, v = x - g.x0, y - g.y0
@@ -84,6 +95,19 @@ def full_magnetic_kernel(t, omega_l, x, y, xs, ys):
     return pref * np.exp(coef * (cot * sq - 2.0 * (x * ys - y * xs)))
 
 
+@pytest.fixture
+def rule_passes(monkeypatch):
+    """Boxes of every ``gauss_legendre_2d`` call the engine makes."""
+    calls = []
+
+    def counting(f, box, order):
+        calls.append(box)
+        return gauss_legendre_2d(f, box, order)
+
+    monkeypatch.setattr(quadrature_module, "gauss_legendre_2d", counting)
+    return calls
+
+
 class TestQuadrature:
     def test_gaussian_integral(self):
         val = integrate_adaptive(
@@ -108,18 +132,6 @@ class TestQuadrature:
         )
         assert abs(val - math.pi * s**2) <= 1e-13
 
-    @pytest.fixture
-    def rule_passes(self, monkeypatch):
-        """Boxes of every ``gauss_legendre_2d`` call the engine makes."""
-        calls = []
-
-        def counting(f, box, order):
-            calls.append(box)
-            return gauss_legendre_2d(f, box, order)
-
-        monkeypatch.setattr(quadrature_module, "gauss_legendre_2d", counting)
-        return calls
-
     def test_unmet_budget_raises_after_every_split(self, rule_passes):
         spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-15, max_splits=2)
         with pytest.raises(ToleranceError, match="exceeds budget"):
@@ -132,7 +144,7 @@ class TestQuadrature:
         assert val.real == pytest.approx(HBAR * gp.angular_split(DISPLACED).total, abs=1e-10)
         # Bisecting every panel above its area share of abs_tol took 850.
         assert len(rule_passes) <= 100
-        # One centred moment matrix: 66 passes when ⟨L⟩ had an integral of its own.
+        # One moment matrix: 66 passes when ⟨L⟩ had an integral of its own.
         assert len(rule_passes) == 10
 
     def test_displaced_angular_momentum_squared_takes_few_rule_passes(
@@ -140,9 +152,10 @@ class TestQuadrature:
     ):
         obs = angular_momentum_op().squared()
         val = expectation(DISPLACED, obs)
-        # An absolute abs_tol on the whole value of about 687 took 826 passes.
-        assert len(rule_passes) <= 20
-        assert abs(val - dense_grid_expectation(DISPLACED, obs)) <= centred_error_bound(
+        # An absolute abs_tol on the whole value of about 687 took 826 passes,
+        # and centred moments on the axis-aligned box 18.
+        assert len(rule_passes) <= 10
+        assert abs(val - dense_grid_expectation(DISPLACED, obs)) <= frame_error_bound(
             DISPLACED, obs
         )
 
@@ -366,22 +379,39 @@ def dense_grid_expectation(params, obs):
     return integrate_adaptive(integrand, integration_box(params))
 
 
-def centred_error_bound(params, obs):
-    """``10 abs_tol (1 + sum_ab |C'_ab|)``, with ``C'`` the observable's polynomial
-    re-expanded about the centre of the default box.
+def frame_coefficients(params, obs, frame):
+    """``C''``: the observable's polynomial composed with the frame map
+    ``x = cx + T00 xi + T01 eta``, ``y = cy + T10 xi + T11 eta``, expanded
+    term by term by the multinomial theorem."""
+    ((t00, t01), (t10, t11)), (cx, cy) = frame
 
-    Each centred moment's summed error estimate is within ``10 abs_tol``, so
+    def linear_power(const, along_xi, along_eta, n):
+        return {
+            (a, b): math.factorial(n) // (math.factorial(a) * math.factorial(b)
+                                          * math.factorial(n - a - b))
+            * const ** (n - a - b) * along_xi**a * along_eta**b
+            for a in range(n + 1) for b in range(n + 1 - a)
+        }
+
+    out = {}
+    for (i, j), c in moments_module._observable_polynomial(params, obs).items():
+        for (a1, b1), u in linear_power(cx, t00, t01, i).items():
+            for (a2, b2), v in linear_power(cy, t10, t11, j).items():
+                key = (a1 + a2, b1 + b2)
+                out[key] = out.get(key, 0.0) + c * u * v
+    return out
+
+
+def frame_error_bound(params, obs, frame=None):
+    """``10 abs_tol (1 + sum_ab |C''_ab|)``, with ``C''`` the observable's
+    polynomial in the frame (the packet's principal frame by default).
+
+    Each frame moment's summed error estimate is within ``10 abs_tol``, so
     this bounds ``expectation``'s error; the 1 covers the reference's own.
     """
-    x0, x1, y0, y1 = integration_box(params)
-    xc, yc = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    shifted = {}
-    for (i, j), c in moments_module._observable_polynomial(params, obs).items():
-        for a in range(i + 1):
-            for b in range(j + 1):
-                term = c * math.comb(i, a) * xc ** (i - a) * math.comb(j, b) * yc ** (j - b)
-                shifted[a, b] = shifted.get((a, b), 0.0) + term
-    return 10.0 * QuadratureSpec().abs_tol * (1.0 + sum(abs(c) for c in shifted.values()))
+    frame = frame or moments_module._principal_frame(params)
+    coeffs = frame_coefficients(params, obs, frame)
+    return 10.0 * QuadratureSpec().abs_tol * (1.0 + sum(abs(c) for c in coeffs.values()))
 
 
 _X, _PX = position_monomial(1, 0), momentum_monomial(1, 0)
@@ -416,11 +446,17 @@ def integrals_in_order(params, indices):
     return out
 
 
+def clear_moment_caches():
+    for cache in (moments_module._frame_moments, moments_module._frame_powers,
+                  moments_module._principal_frame):
+        cache.cache_clear()
+
+
 @pytest.fixture
 def cold_cache():
-    moments_module._centred_moments.cache_clear()
+    clear_moment_caches()
     yield
-    moments_module._centred_moments.cache_clear()
+    clear_moment_caches()
 
 
 @pytest.fixture
@@ -436,8 +472,8 @@ def integral_calls(monkeypatch, cold_cache):
     return calls
 
 
-class TestCentredMoments:
-    """One centred moment matrix per packet serves all of its moments."""
+class TestFrameMoments:
+    """One frame moment matrix per packet and width serves all of its moments."""
 
     ALL = tuple(range(len(ALL_INTEGRALS)))
 
@@ -446,7 +482,7 @@ class TestCentredMoments:
     def test_within_error_bound_of_dense_reference(self, params, name):
         obs = REFERENCE_OBSERVABLES[name]
         error = abs(expectation(params, obs) - dense_grid_expectation(params, obs))
-        assert error <= centred_error_bound(params, obs)
+        assert error <= frame_error_bound(params, obs)
 
     @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
     def test_moments_match_closed_forms(self, params):
@@ -469,9 +505,9 @@ class TestCentredMoments:
         for params in (DISPLACED, GENERIC):
             out[params] = {}
             for k in self.ALL:
-                moments_module._centred_moments.cache_clear()
+                clear_moment_caches()
                 out[params].update(integrals_in_order(params, [k]))
-        moments_module._centred_moments.cache_clear()
+        clear_moment_caches()
         return out
 
     @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
@@ -509,23 +545,132 @@ class TestCentredMoments:
         assert expectation(GENERIC, _X, quad=QuadratureSpec()) == x
         assert len(integral_calls) == 2
 
-    def test_a_shifted_list_box_gets_its_own_entry(self, integral_calls):
-        box = integration_box(GENERIC)
-        x = expectation(GENERIC, _X)
-        assert expectation(GENERIC, _X, box=list(box)) == x
-        assert len(integral_calls) == 1
-        shifted = [box[0] + 0.5, box[1] + 0.5, box[2] - 0.25, box[3] - 0.25]
-        assert expectation(GENERIC, _X, box=shifted) == pytest.approx(x, abs=1e-11)
-        assert integral_calls[1] == tuple(shifted)
-
-    def test_moment_matrix_is_read_only(self, cold_cache):
-        quad = QuadratureSpec()
-        box = integration_box(GENERIC, quad.half_width_sigmas)
-        moments = moments_module._centred_moments(GENERIC, quad, box, 3)
+    def test_moment_matrix_and_powers_are_read_only(self, cold_cache):
+        frame = moments_module._principal_frame(GENERIC)
+        moments = moments_module._frame_moments(GENERIC, QuadratureSpec(), frame, 3)
         assert moments.shape == (3, 3)
         assert moments[0, 0] == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            moments[0, 0] = 0.0
+        # Only total degrees below the width are integrated.
+        assert moments[1, 2] == moments[2, 1] == moments[2, 2] == 0.0
+        powers = moments_module._frame_powers(frame, 3)
+        for array in (moments, powers):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_frame_powers_match_multinomial_expansion(self, width):
+        frame = ((0.7, -1.3), (0.4, 2.1)), (1.5, -0.8)
+        powers = moments_module._frame_powers(frame, width)
+        assert powers.shape == (width,) * 4
+        for i in range(width):
+            for j in range(width):
+                want = np.zeros((width, width), dtype=complex)
+                if i + j < width:
+                    for key, c in frame_coefficients(
+                        DISPLACED, position_monomial(i, j), frame
+                    ).items():
+                        want[key] = c
+                np.testing.assert_allclose(powers[i, j], want, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "params", [DISPLACED, GENERIC, minimal_packet(1e6, u=0.7)],
+        ids=["displaced", "generic", "long_tilted"],
+    )
+    def test_rule_sees_a_standard_normal_on_the_square(self, params, monkeypatch, cold_cache):
+        seen = []
+
+        def capture(f, box, spec=None):
+            x = np.zeros((2, 2))
+            seen.append((box, f(x, x)[1]))
+            return integrate_adaptive(f, box, spec)
+
+        monkeypatch.setattr(moments_module, "integrate_adaptive", capture)
+        norm_integral(params)
+        (box, core), = seen
+        np.testing.assert_allclose(box, [-8.5, 8.5, -8.5, 8.5], rtol=1e-15)
+        assert core.xx == pytest.approx(-0.5, rel=1e-15)
+        assert core.yy == pytest.approx(-0.5, rel=1e-15)
+        # T is stored rounded, so G = T0^-1 T is the identity to about
+        # eps sigma_2 / sigma_1 (2,000 for the long packet).
+        assert core.xy == pytest.approx(0.0, abs=1e-13)
+        assert core.x == core.y == core.x0 == core.y0 == 0.0
+        assert core.const == pytest.approx(-math.log(2.0 * math.pi), abs=1e-14)
+
+
+class TestPrincipalFrame:
+    """Moments of long, tilted, wide and narrow packets, integrated in the
+    packet's principal frame, where the density is a standard normal."""
+
+    def test_long_packet_keeps_its_norm(self):
+        # On the axis-aligned box, whose first panel's nodes straddled the
+        # short axis, both rules read 0.0 and nothing was raised.
+        assert norm_integral(minimal_packet(1e3)) == pytest.approx(1.0, abs=1e-13)
+
+    def test_long_tilted_packet_meets_its_budget(self):
+        # The axis-aligned box spent 43,690 rule passes and raised.
+        assert norm_integral(minimal_packet(100.0, u=0.7)) == pytest.approx(1.0, abs=1e-13)
+
+    def test_wide_packet_meets_its_budget(self):
+        # Lab-frame second moments of about sigma^2 = 100 could not meet the
+        # absolute budget: 1.66e-12 against 1e-13, raised.
+        wide = RealParams(mu=1.0, alpha=0.005, beta=0.0, gamma=0.005)
+        assert norm_integral(wide) == pytest.approx(1.0, abs=1e-13)
+        xx = expectation(wide, position_monomial(2, 0)).real
+        assert xx == pytest.approx(gp.covariances(wide)[0, 0], rel=1e-13)
+
+    @pytest.mark.parametrize("u", [0.0, 0.7])
+    @pytest.mark.parametrize("decade", range(-8, 7))
+    def test_moments_agree_with_closed_forms_per_decade(self, decade, u, cold_cache, rule_passes):
+        params = minimal_packet(10.0**decade, u=u)
+        values = integrals_in_order(params, range(len(MOMENT_OBSERVABLES) + 1))
+        # One width-3 integral: its first panel and one split.
+        assert len(rule_passes) <= 10
+        cov = gp.covariances(params)
+        sigma = np.sqrt(np.diag(cov))
+        firsts = np.array([values[k].real for k in range(4)])
+        # Relative to each coordinate's standard deviation.
+        assert np.all(np.abs(firsts - gp.first_moments(params)) <= 1e-13 * sigma)
+        k = 4
+        for i in range(4):
+            for j in range(i, 4):
+                central = values[k].real - firsts[i] * firsts[j]
+                assert abs(central - cov[i, j]) <= 1e-13 * sigma[i] * sigma[j], (i, j)
+                k += 1
+        assert values[k] == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("perturbation", ["rotated", "rescaled", "shifted", "all"])
+    def test_values_do_not_depend_on_the_frame(self, perturbation, integral_calls):
+        params = minimal_packet(100.0, u=0.7)
+        (t_rows, centre) = moments_module._principal_frame(params)
+        t_matrix, centre = np.array(t_rows), np.array(centre)
+        if perturbation in ("rotated", "all"):
+            t_matrix = rotation(0.1) @ t_matrix
+        if perturbation in ("rescaled", "all"):
+            t_matrix = t_matrix @ np.diag([1.3, 1.0 / 1.3])
+        if perturbation in ("shifted", "all"):
+            centre = centre + np.array(t_rows) @ np.array([0.5, -0.5])
+        frame = tuple(map(tuple, t_matrix.tolist())), tuple(centre.tolist())
+        quad = QuadratureSpec()
+        norm = moments_module._frame_moments(params, quad, frame, 3)[0, 0]
+        observables = [obs for obs in ALL_INTEGRALS if obs is not None]
+        values = [moments_module._frame_expectation(params, obs, quad, frame)
+                  for obs in observables]
+        # Each axis of the box spans h standard deviations of the density as
+        # seen in the frame, whatever the frame.
+        sigma_in_frame = np.linalg.solve(
+            t_matrix, np.linalg.solve(t_matrix, gp.covariances(params)[:2, :2]).T
+        )
+        half = quad.half_width_sigmas * np.sqrt(np.diag(sigma_in_frame))
+        assert len(integral_calls) == 2
+        for x0, x1, y0, y1 in integral_calls:
+            np.testing.assert_allclose([x1 - x0, y1 - y0], 2.0 * half, rtol=1e-9)
+        if perturbation == "rotated":
+            # A fixed [-8.5, 8.5] square here truncates 3.4e-4 of the norm.
+            assert half[0] >= 2.0 * quad.half_width_sigmas
+        assert norm == pytest.approx(norm_integral(params), abs=20.0 * quad.abs_tol)
+        for obs, got in zip(observables, values):
+            bound = frame_error_bound(params, obs, frame) + frame_error_bound(params, obs)
+            assert abs(got - expectation(params, obs)) <= bound
 
 
 class TestWignerFourthMoment:

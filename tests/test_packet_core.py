@@ -227,6 +227,17 @@ class TestWavefunction:
             assert val.imag == 0.0
             assert val.real == pytest.approx(gp.normalization(p), rel=1e-13)
 
+    @pytest.mark.parametrize("l_c", [1e3, 1e6, 1e8])
+    def test_far_displaced_packet_is_finite_at_its_centre(self, l_c):
+        # The prefactor underflows to 0 and the bare exponential overflows
+        # there, so their product was 0 * inf = NaN.
+        spec = MinPacketSpec(l_i_abs=0.5, l_c_abs=l_c, sign_i=1, sign_c=1, u=0.3, v=0.0, omega=1.0)
+        p = gp.build_min_packet(spec)
+        x0, y0, _, _ = gp.first_moments(p)
+        assert gp.normalization(p) == 0.0
+        value = complex(gp.wavefunction(p, x0, y0))
+        assert abs(value) ** 2 == pytest.approx(gp.density(p, x0, y0), rel=1e-6)
+
     def test_centered_normalization_closed_form(self):
         p = RealParams(mu=1.4, alpha=1.1, beta=-0.3, gamma=0.9, chi_a=0.5, chi_c=0.2, rho=-0.6)
         expected = math.sqrt(p.mu * math.sqrt(p.delta) / math.pi)
