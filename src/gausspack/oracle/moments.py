@@ -29,7 +29,9 @@ matrix and ``<L^2>`` takes a width-5 one.  Each ``M[a, b]`` meets
 |C''[a, b]| err[a, b]`` (see :func:`expectation`).  The last
 ``_CACHE_SIZE`` matrices are kept; a value is never read from a wider
 matrix than its own width, so it does not depend on earlier calls.
-Propagators and overlaps still integrate over :func:`integration_box`.
+Propagators take the same frame further, to the complex principal frame of
+``K psi`` (see :mod:`~gausspack.oracle.propagate`); only overlaps still
+integrate over :func:`integration_box`.
 """
 
 from __future__ import annotations
@@ -166,8 +168,9 @@ def integration_box(
 
     The half-width is a multiple of the largest principal standard
     deviation of ``|psi|^2``; ``pad`` adds an absolute margin (useful when a
-    second, origin-centered function shares the grid).  Propagators and
-    overlaps integrate over it; moments use the principal frame instead.
+    second, origin-centered function shares the grid).  Only overlaps
+    integrate over it; moments use the principal frame and propagators the
+    complex principal frame instead.
     """
     x0, y0, _, _ = first_moments(params)
     r = math.hypot(params.alpha - params.gamma, 2.0 * params.beta)

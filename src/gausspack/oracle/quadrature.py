@@ -1,22 +1,24 @@
-"""Adaptive tensor-product Gauss-Legendre quadrature on rectangles.
+"""Adaptive Gauss-Legendre quadrature on intervals and rectangles.
 
-The integrands here are smooth Gaussians times polynomials, so high-order
-Gauss rules converge extremely fast; adaptivity only has to handle the case
-where the box is much wider than the packet.  Each panel's error is
-estimated as the difference between a rule and its refinement.  The
-refinement is global, as in QUADPACK's QAG (Piessens et al., 1983): the
-panel with the largest estimate is bisected in both directions until the
-estimates summed over all panels fall within the budget for the whole box.
-No panel is held to a share of its own, so none is split merely because
-its share has fallen below double-precision roundoff.
+The integrands here are smooth Gaussians times polynomials or phases, so
+high-order Gauss rules converge extremely fast; adaptivity only has to
+handle the case where the box is much wider than the integrand's features.
+Each panel's error is estimated as the difference between a rule and its
+refinement.  The refinement is global, as in QUADPACK's QAG (Piessens et
+al., 1983): the panel with the largest estimate is bisected (an interval
+into two halves, a rectangle in both directions into four quarters) until
+the estimates summed over all panels fall within the budget for the whole
+box.  No panel is held to a share of its own, so none is split merely
+because its share has fallen below double-precision roundoff.
 
 An integrand may be vector-valued: a stack of components of shape
-``(..., n, n)`` on the ``n x n`` node grid, or, when every component
-factors as ``a[t](x) g(x, y) b[t](y)`` with ``g`` a Gaussian, the triple
-``(a, Gaussian(...), b)`` (see :func:`gauss_legendre_2d`).  All components
-then share one partition, a panel is ranked by its largest component
-error, and refinement goes on until every component's summed estimate
-meets the budget.
+``(..., n)`` on the ``n`` nodes of an interval (see
+:func:`gauss_legendre_1d`), or ``(..., n, n)`` on the ``n x n`` node grid
+of a rectangle, or, when every component factors as ``a[t](x) g(x, y)
+b[t](y)`` with ``g`` a Gaussian, the triple ``(a, Gaussian(...), b)`` (see
+:func:`gauss_legendre_2d`).  All components then share one partition, a
+panel is ranked by its largest component error, and refinement goes on
+until every component's summed estimate meets the budget.
 
 The rule evaluates a :class:`Gaussian` itself, in the panel's own
 coordinates ``x = xc + h t``, ``y = yc + k s`` on nodes ``t, s``: its
@@ -44,7 +46,13 @@ import numpy as np
 from .._record import Record
 from ..errors import InvalidParameterError, ToleranceError
 
-__all__ = ["Gaussian", "QuadratureSpec", "gauss_legendre_2d", "integrate_adaptive"]
+__all__ = [
+    "Gaussian",
+    "QuadratureSpec",
+    "gauss_legendre_1d",
+    "gauss_legendre_2d",
+    "integrate_adaptive",
+]
 
 
 @dataclass(frozen=True)
@@ -60,9 +68,11 @@ class QuadratureSpec(Record, name="quadrature"):
     (``h``) sets how far the oracle's integration boxes extend, in standard
     deviations of the density: moments integrate over ``[-h, h]^2`` in the
     packet's principal frame (each axis of a box in any other frame spans
-    ``h`` of the density's standard deviation along it), and propagators
-    and overlaps over the lab-frame square of half-width ``h`` times the
-    largest principal standard deviation.  The counts must be integers (an
+    ``h`` of the density's standard deviation along it), propagators over
+    ``[-h, h]`` along each axis of the integrand's complex principal frame,
+    where ``|psi|`` falls off as ``exp(-h^2 / 4)``, and overlaps over the
+    lab-frame square of half-width ``h`` times the largest principal
+    standard deviation.  The counts must be integers (an
     integer-valued real such as ``48.0`` is taken) and the tolerance and
     width finite reals; anything else raises
     :class:`~gausspack.errors.InvalidParameterError` naming the field.
@@ -130,9 +140,9 @@ def _node_products(order: int) -> np.ndarray:
     return products
 
 
-#: Cross-phase matrices kept.  An integral takes about two keys per
-#: bisection depth (one per rule order), so this covers a propagator call
-#: to depth 8 in about 0.85 MB.
+#: Cross-phase matrices kept.  An integral of a complex Gaussian triple
+#: takes about two keys per bisection depth (one per rule order), so this
+#: covers one to depth 8 in about 0.85 MB.
 _CROSS_PHASES = 32
 
 
@@ -184,6 +194,23 @@ def _axis_grid(axis: np.ndarray, along: int) -> np.ndarray:
     return grid
 
 
+def gauss_legendre_1d(
+    f: Callable[[np.ndarray], np.ndarray], interval: tuple[float, float], order: int
+) -> complex | np.ndarray:
+    """Single Gauss-Legendre pass over ``interval`` = (x0, x1).
+
+    ``f`` receives the mapped nodes, shape ``(order,)``, and returns values
+    of shape ``(..., order)``.  The last axis is contracted with the
+    weights: a scalar integrand gives a complex number, a stacked one an
+    array of shape ``...``.
+    """
+    x0, x1 = interval
+    t, w = _nodes(order)
+    h = 0.5 * (x1 - x0)
+    result = h * (np.asarray(f(h * t + 0.5 * (x1 + x0))) @ w)
+    return complex(result) if result.ndim == 0 else result.astype(complex, copy=False)
+
+
 def gauss_legendre_2d(
     f: Integrand,
     box: tuple[float, float, float, float],
@@ -231,63 +258,90 @@ def gauss_legendre_2d(
     return complex(result) if result.ndim == 0 else result.astype(complex, copy=False)
 
 
+#: ``(x0, x1)`` or ``(x0, x1, y0, y1)``.
+Bounds = tuple[float, ...]
+
+
 class _Panel(NamedTuple):
     # Field order is heap order: largest component error first; ``seq``
     # breaks ties, so the arrays after it are never compared.
     neg_worst: float
     seq: int
-    bounds: tuple[float, float, float, float]
+    bounds: Bounds
     depth: int
     fine: complex | np.ndarray
     err: np.ndarray
 
 
+def _bisect(bounds: Bounds) -> tuple[Bounds, ...]:
+    """The two halves of an interval, or the four quarters of a rectangle."""
+    x0, x1 = bounds[:2]
+    xm = 0.5 * (x0 + x1)
+    if len(bounds) == 2:
+        return (x0, xm), (xm, x1)
+    y0, y1 = bounds[2:]
+    ym = 0.5 * (y0 + y1)
+    return (x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)
+
+
 def integrate_adaptive(
-    f: Integrand,
-    box: tuple[float, float, float, float],
+    f: Integrand | Callable[[np.ndarray], np.ndarray],
+    box: Bounds,
     spec: QuadratureSpec | None = None,
 ) -> complex | np.ndarray:
-    """Integrate ``f`` over the rectangle ``box`` to the requested tolerance.
+    """Integrate ``f`` over the interval or rectangle ``box`` to the requested tolerance.
 
-    The panel with the largest error estimate is bisected in both
-    directions until every component's summed estimate over all panels is
-    within ``abs_tol``, or until every panel has reached ``max_splits``
-    bisections.  A stacked integrand (see :func:`gauss_legendre_2d`)
-    returns one value per component.
+    ``box`` is ``(x0, x1)``, and ``f`` is then an integrand of
+    :func:`gauss_legendre_1d`, or ``(x0, x1, y0, y1)``, and ``f`` is one
+    of :func:`gauss_legendre_2d`.  The panel with the largest error
+    estimate is bisected (into two intervals or four rectangles) until
+    every component's summed estimate over all panels is within
+    ``abs_tol``, or until every panel has reached ``max_splits``
+    bisections.  A stacked integrand returns one value per component.
 
     The caller must size ``box`` to the integrand.  Refinement is driven
     by the two rules disagreeing, so a feature narrower than the node
     spacing of the first panel, which both rules miss, integrates to about
     0 with a zero error estimate and raises nothing.  The oracle's own
-    callers derive the box from the packet's widths for this reason.  The
-    moment integrals go further and change variables to the packet's
+    callers size the box in a frame fitted to the integrand for this
+    reason.  The moment integrals change variables to the packet's
     principal frame ``x = c + T (xi, eta)``, where the density is a
-    standard normal on the square ``[-h, h]^2``, so no feature is narrower
-    than the box by more than a fixed factor, however long or thin the
-    packet (see :mod:`~gausspack.oracle.moments`).  Propagators and
-    overlaps still use a lab-frame square sized by the packet's longest
+    standard normal on the square ``[-h, h]^2``, and the propagators to
+    the complex principal frame of ``K psi``, where each target's integral
+    is a product of two 1-D integrals over ``[-h, h]`` (see
+    :mod:`~gausspack.oracle.propagate`); so no feature is narrower than the
+    box by more than a fixed factor, however long or thin the packet.
+    Overlaps still use a lab-frame square sized by the packet's longest
     axis, which a narrow enough packet slips through.
 
     Raises
     ------
     InvalidParameterError
-        If ``box`` does not have positive area.
+        If ``box`` is not an interval of positive length or a rectangle of
+        positive area.
     ToleranceError
         If a rule value is not finite, or if some component's summed error
         estimate still exceeds ``10 * abs_tol`` when no panel can be split.
     """
     spec = spec or QuadratureSpec()
-    x0, x1, y0, y1 = box
-    if not (x1 - x0) * (y1 - y0) > 0:
-        raise InvalidParameterError(f"box must have positive area, got {box}")
+    if len(box) == 2:
+        rule = gauss_legendre_1d
+        if not box[1] - box[0] > 0:
+            raise InvalidParameterError(f"interval must have positive length, got {box}")
+    elif len(box) == 4:
+        rule = gauss_legendre_2d
+        if not (box[1] - box[0]) * (box[3] - box[2]) > 0:
+            raise InvalidParameterError(f"box must have positive area, got {box}")
+    else:
+        raise InvalidParameterError(f"box must be (x0, x1) or (x0, x1, y0, y1), got {box}")
 
     seq = count()
     splittable: list[_Panel] = []  # heap, worst panel first
     finished: list[_Panel] = []  # panels at max_splits
 
-    def add(bounds: tuple[float, float, float, float], depth: int) -> np.ndarray:
-        coarse = gauss_legendre_2d(f, bounds, spec.order)
-        fine = gauss_legendre_2d(f, bounds, spec.refined_order)
+    def add(bounds: Bounds, depth: int) -> np.ndarray:
+        coarse = rule(f, bounds, spec.order)
+        fine = rule(f, bounds, spec.refined_order)
         err = np.abs(fine - coarse)
         # A NaN or inf in either rule leaves the difference, and so its
         # largest component, non-finite.
@@ -304,16 +358,12 @@ def integrate_adaptive(
     def leaf_errors() -> np.ndarray:
         return np.sum([panel.err for panel in finished + splittable], axis=0)
 
-    err_sum = add((x0, x1, y0, y1), 0)
+    err_sum = add(tuple(box), 0)
     while splittable and np.any(err_sum > spec.abs_tol):
         worst_panel = heapq.heappop(splittable)
-        px0, px1, py0, py1 = worst_panel.bounds
-        xm = 0.5 * (px0 + px1)
-        ym = 0.5 * (py0 + py1)
         err_sum = err_sum - worst_panel.err
-        for quarter in ((px0, xm, py0, ym), (xm, px1, py0, ym),
-                        (px0, xm, ym, py1), (xm, px1, ym, py1)):
-            err_sum = err_sum + add(quarter, worst_panel.depth + 1)
+        for part in _bisect(worst_panel.bounds):
+            err_sum = err_sum + add(part, worst_panel.depth + 1)
         if not np.any(err_sum > spec.abs_tol):
             # The running sum is built by subtraction; confirm it from the
             # leaves before stopping.

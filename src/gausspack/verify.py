@@ -640,7 +640,7 @@ def _phase_error(
 
 @_check("free")
 def check_free_shrinking(
-    seed: int = DEFAULT_SEED, tol: float = 1e-10, phase_tol: float = 1e-8
+    seed: int = DEFAULT_SEED, tol: float = 1e-10, phase_tol: float = 1e-10
 ) -> _Outcome:
     """Closed-form shrink landmarks, and the free propagator at ``t_min`` up to one phase."""
     worst_closed = 0.0
@@ -681,7 +681,7 @@ def check_free_shrinking(
 
 
 @_check("propagators")
-def check_propagators(seed: int = DEFAULT_SEED, phase_tol: float = 1e-8) -> _Outcome:
+def check_propagators(seed: int = DEFAULT_SEED, phase_tol: float = 1e-10) -> _Outcome:
     """Oscillator and magnetic evolution of minimal packets, by propagator.
 
     A co- and an anti-rotating packet each go through the oscillator kernel

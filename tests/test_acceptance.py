@@ -49,11 +49,11 @@ def test_field_aligned_packets_have_sharp_energy():
 
 
 def test_free_packets_shrink_on_schedule():
-    run("free", budget=1.5)
+    run("free", budget=0.5)
 
 
 def test_oscillator_and_field_propagators_match_evolution_laws():
-    run("propagators", budget=2.0)
+    run("propagators", budget=0.5)
 
 
 def test_squeezing_never_passes_one_half():

@@ -37,9 +37,11 @@ from gausspack.oracle import quadrature as quadrature_module
 from gausspack.oracle.quadrature import (
     Gaussian,
     QuadratureSpec,
+    gauss_legendre_1d,
     gauss_legendre_2d,
     integrate_adaptive,
 )
+from gausspack.verify import CHECKS
 
 
 GENERIC = RealParams(mu=1.1, alpha=1.3, beta=0.4, gamma=0.9, chi_a=-0.5,
@@ -105,6 +107,19 @@ def rule_passes(monkeypatch):
         return gauss_legendre_2d(f, box, order)
 
     monkeypatch.setattr(quadrature_module, "gauss_legendre_2d", counting)
+    return calls
+
+
+@pytest.fixture
+def rule_passes_1d(monkeypatch):
+    """Intervals of every ``gauss_legendre_1d`` call the engine makes."""
+    calls = []
+
+    def counting(f, interval, order):
+        calls.append(interval)
+        return gauss_legendre_1d(f, interval, order)
+
+    monkeypatch.setattr(quadrature_module, "gauss_legendre_1d", counting)
     return calls
 
 
@@ -301,7 +316,86 @@ class TestQuadrature:
         spec = QuadratureSpec()
         assert (spec.order, spec.refined_order, spec.abs_tol, spec.max_splits,
                 spec.half_width_sigmas) == (32, 48, 1e-13, 7, 8.5)
-        assert propagate_module._PROP_QUAD == QuadratureSpec(abs_tol=1e-12, max_splits=8)
+        assert propagate_module._PROP_QUAD == QuadratureSpec(
+            abs_tol=1e-12, max_splits=12, half_width_sigmas=10.5
+        )
+
+
+class TestQuadrature1D:
+    """The engine on an interval: the same QAG loop, spec and errors as on a rectangle."""
+
+    @pytest.mark.parametrize("order", [4, 8, 32])
+    def test_rule_is_exact_to_degree_2n_minus_1(self, order):
+        degrees = np.arange(2 * order)
+        val = gauss_legendre_1d(lambda x: np.sum(x[None, :] ** degrees[:, None], axis=0),
+                                (0.0, 1.0), order)
+        assert val.real == pytest.approx(np.sum(1.0 / (degrees + 1.0)), rel=1e-14)
+        assert val.imag == 0.0
+
+    def test_rule_has_n_nodes(self):
+        # Degree 2n is not integrated exactly: with 4 nodes, x^8 on [0, 2]
+        # misses by 0.0116.
+        val = gauss_legendre_1d(lambda x: x**8, (0.0, 2.0), 4)
+        assert abs(val.real - 2.0**9 / 9.0) > 1e-2
+
+    def test_gaussian_integral(self):
+        val = integrate_adaptive(lambda x: np.exp(-(x**2)), (-9.0, 9.0))
+        assert val.real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+    def test_stacked_components_share_one_partition(self, rule_passes_1d):
+        hard = lambda x: np.exp((-0.25 + 3j) * x**2 + 2j * x)  # noqa: E731
+        easy = lambda x: (1.0 + x) * np.exp(-(x**2))  # noqa: E731
+        interval = (-10.5, 10.5)
+        alone = integrate_adaptive(hard, interval)
+        hard_passes = sorted(rule_passes_1d)
+        rule_passes_1d.clear()
+        stacked = integrate_adaptive(lambda x: np.stack([hard(x), easy(x)]), interval)
+        assert stacked.shape == (2,)
+        # The smooth component rides on the oscillating one's partition.
+        assert sorted(rule_passes_1d) == hard_passes
+        assert len(hard_passes) > 2
+        assert abs(stacked[0] - alone) <= 1e-14
+        assert abs(stacked[1] - math.sqrt(math.pi)) <= QuadratureSpec().abs_tol
+
+    def test_unmet_budget_raises_after_every_split(self, rule_passes_1d):
+        spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-15, max_splits=3)
+        with pytest.raises(ToleranceError, match="exceeds budget"):
+            integrate_adaptive(lambda x: np.cos(40.0 * x), (-3.0, 3.0), spec)
+        # Two rules on each of the 1 + 2 + 4 + 8 intervals down to max_splits.
+        assert len(rule_passes_1d) == 2 * 15
+
+    def test_one_component_over_budget_raises(self):
+        spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-12, max_splits=0)
+        # Both rules integrate these polynomials exactly.
+        exact = integrate_adaptive(lambda x: np.stack([1.0 + x, 2.0 + x**2]), (-3.0, 3.0), spec)
+        assert exact == pytest.approx([6.0, 30.0], abs=1e-12)
+        with pytest.raises(ToleranceError):
+            integrate_adaptive(
+                lambda x: np.stack([1.0 + x, np.cos(40.0 * x)]), (-3.0, 3.0), spec
+            )
+
+    # An inf in both rules makes the error estimate inf - inf, which NumPy warns about.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_raises(self, bad):
+        def f(x):
+            return np.where(x > 0.5, bad, np.exp(-(x**2)))
+
+        with pytest.raises(ToleranceError, match="not finite"):
+            integrate_adaptive(f, (-3.0, 3.0))
+        with pytest.raises(ToleranceError, match="not finite"):
+            integrate_adaptive(lambda x: np.stack([np.exp(-(x**2)), f(x)]), (-3.0, 3.0))
+
+    def test_empty_stack_gives_empty_array(self):
+        val = integrate_adaptive(lambda x: np.empty((0,) + x.shape), (0.0, 1.0))
+        assert isinstance(val, np.ndarray) and val.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "interval", [(1.0, 1.0), (2.0, 1.0), (0.0, math.nan), (math.nan, 1.0), (0.0, 1.0, 2.0)]
+    )
+    def test_bad_interval_rejected(self, interval):
+        with pytest.raises(InvalidParameterError):
+            integrate_adaptive(lambda x: x, interval)
 
 
 class TestObservableAlgebra:
@@ -924,8 +1018,8 @@ class TestPropagators:
         assert isinstance(out, np.ndarray) and out.shape == (1,)
         assert out.dtype == complex
 
-    @pytest.mark.parametrize("n_targets", [1, 5, 25])
-    def test_one_integral_per_call(self, monkeypatch, n_targets):
+    @pytest.mark.parametrize("n_targets", [0, 1, 5, 25])
+    def test_two_integrals_per_call(self, monkeypatch, n_targets):
         calls = []
 
         def counting(f, box, spec=None):
@@ -937,91 +1031,151 @@ class TestPropagators:
         propagate_free(GENERIC, 0.9, pts)
         propagate_oscillator(GENERIC, 0.7, pts, omega=1.3)
         propagate_magnetic(GENERIC, 0.8, pts, omega_larmor=0.9)
-        assert len(calls) == 3
+        # One stacked 1-D integral per axis of the frame, for all targets.
+        h = propagate_module._PROP_QUAD.half_width_sigmas
+        assert calls == [(-h, h)] * 6
 
-
-class TestRankOneKernels:
-    """The per-target factors A_i(x') B_i(y') equal the full kernels."""
-
-    CASES = [
-        ("free", GENERIC, lambda p, pts: propagate_free(p, 0.9, pts),
-         lambda x, y, xs, ys: full_free_kernel(0.9, x, y, xs, ys)),
-        ("oscillator", GENERIC, lambda p, pts: propagate_oscillator(p, 0.7, pts, omega=1.3),
-         lambda x, y, xs, ys: full_oscillator_kernel(0.7, 1.3, x, y, xs, ys)),
-        ("oscillator-anti", gp.build_min_packet(ANTI),
-         lambda p, pts: propagate_oscillator(p, 1.1, pts, omega=0.9),
-         lambda x, y, xs, ys: full_oscillator_kernel(1.1, 0.9, x, y, xs, ys)),
-        ("magnetic", GENERIC, lambda p, pts: propagate_magnetic(p, 0.8, pts, omega_larmor=0.9),
-         lambda x, y, xs, ys: full_magnetic_kernel(0.8, 0.9, x, y, xs, ys)),
-        ("magnetic-negative-anti", gp.build_min_packet(ANTI),
-         lambda p, pts: propagate_magnetic(p, 0.8, pts, omega_larmor=-0.9),
-         lambda x, y, xs, ys: full_magnetic_kernel(0.8, -0.9, x, y, xs, ys)),
-    ]
-
-    @pytest.mark.parametrize("name, params, call, kernel", CASES, ids=[c[0] for c in CASES])
-    def test_factors_reproduce_full_kernel(self, monkeypatch, rng, name, params, call, kernel):
-        seen = []
+    @pytest.mark.parametrize("t", [0.05, 0.9, 20.0])
+    def test_each_axis_gets_its_share_of_the_budget(self, monkeypatch, t):
+        specs = []
 
         def capture(f, box, spec=None):
-            seen.append(f)
-            return np.zeros(len(pts), dtype=complex)
-
-        monkeypatch.setattr(propagate_module, "integrate_adaptive", capture)
-        pts = rng.uniform(-1.0, 1.0, size=(7, 2))
-        call(params, [tuple(p) for p in pts])
-        (integrand,) = seen
-        X, Y = np.meshgrid(rng.uniform(-1.5, 1.5, 11), rng.uniform(-1.5, 1.5, 9), indexing="ij")
-        a, psi, b = integrand(X, Y)
-        assert isinstance(psi, Gaussian)
-        assert (a.shape, b.shape) == ((7, 11), (7, 9))
-        got = a[:, :, None] * gaussian_values(psi, X, Y) * b[:, None, :]
-        x = pts[:, 0, None, None]
-        y = pts[:, 1, None, None]
-        want = kernel(x, y, X, Y) * gp.wavefunction(params, X, Y)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-
-
-#: The paper's symmetric-form packet with beta0 = 0.3, chi0 = 3, which focuses under free evolution.
-SHRINKING = RealParams(mu=1.0, alpha=1.0, beta=0.3, gamma=1.0, chi_a=-3.0, chi_c=3.0, rho=0.0)
-
-
-class TestFactoredRulePasses:
-    """Contracting the propagators' kernel factors leaves their partitions unchanged."""
-
-    CASES = [
-        # tau = 2 hbar mu t / mass = 2 t in these units.
-        ("free", lambda pts: propagate_free(
-            SHRINKING, gp.shrink_analysis(SHRINKING).tau_min / 2.0, pts)),
-        ("magnetic", lambda pts: propagate_magnetic(GENERIC, 0.8, pts, omega_larmor=-0.9)),
-    ]
-
-    @pytest.mark.parametrize("name, call", CASES, ids=[c[0] for c in CASES])
-    def test_same_passes_as_dense_stack(self, monkeypatch, name, call):
-        integrals, passes = [], []
-
-        def capture(f, box, spec=None):
-            integrals.append((f, box, spec))
+            specs.append(spec)
             return integrate_adaptive(f, box, spec)
 
-        def recording(f, box, order):
-            passes.append((box, order))
-            return gauss_legendre_2d(f, box, order)
-
         monkeypatch.setattr(propagate_module, "integrate_adaptive", capture)
-        monkeypatch.setattr(quadrature_module, "gauss_legendre_2d", recording)
-        got = call(PROBES)
-        (integrand, box, spec), = integrals
-        factored_passes = sorted(passes)
-        passes.clear()
+        propagate_free(GENERIC, t, PROBES)
+        # P = |pref| |det T| |psi(c)|, with |det T| = sqrt(det Sigma_xy).
+        x0, y0, _, _ = gp.first_moments(GENERIC)
+        size = (abs(1.0 / (2.0 * math.pi * HBAR * t))
+                * math.sqrt(np.linalg.det(gp.covariances(GENERIC)[:2, :2]))
+                * abs(gp.wavefunction(GENERIC, x0, y0)))
+        quad = propagate_module._PROP_QUAD
+        assert len(specs) == 2
+        for spec in specs:
+            assert spec.abs_tol == pytest.approx(quad.abs_tol / (2.0 * math.sqrt(4.0 * math.pi) * size),
+                                                 rel=1e-12)
+            assert spec == QuadratureSpec(**{**quad.to_dict(), "abs_tol": spec.abs_tol})
 
-        def dense(xs, ys):
-            a, psi, b = integrand(xs, ys)
-            return a[:, :, None] * gaussian_values(psi, xs, ys) * b[:, None, :]
 
-        want = integrate_adaptive(dense, box, spec)
-        assert factored_passes == sorted(passes)
-        # Relative to the largest value: the focused packet is ~1e-7 at the far probes.
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+class TestPropagatorReach:
+    """Long packets, whose propagator integrands oscillate hard along one axis."""
+
+    @staticmethod
+    def grid(evolved):
+        x0, y0, _, _ = gp.first_moments(evolved)
+        offsets = 0.5 * gp.ellipse(evolved).a_minus * np.arange(-2.0, 3.0)
+        return [(x0 + dx, y0 + dy) for dx in offsets for dy in offsets]
+
+    def test_long_tilted_packet_propagates(self):
+        # On the axis-aligned box this raised ToleranceError after 17.6 s.
+        params, t = minimal_packet(100.0, u=0.7), 0.3
+        evolved = gp.evolve_free(params, t).params
+        pts = self.grid(evolved)
+        constant_phase_ratio(propagate_free(params, t, pts),
+                             gp.wavefunction(evolved, *np.array(pts).T))
+
+    def test_longer_packet_is_answered_or_refused(self):
+        # On the axis-aligned box this returned about 1e-31 of the right
+        # value and raised nothing.
+        params, t = minimal_packet(1e3), 0.3
+        evolved = gp.evolve_free(params, t).params
+        pts = self.grid(evolved)
+        try:
+            numeric = propagate_free(params, t, pts)
+        except ToleranceError:
+            return
+        constant_phase_ratio(numeric, gp.wavefunction(evolved, *np.array(pts).T))
+
+    def test_free_check_rule_passes(self, rule_passes, rule_passes_1d):
+        # 176 one-dimensional passes when this ceiling was set; the same four
+        # packets took 728 two-dimensional passes on the axis-aligned box.
+        assert CHECKS["free"]().passed
+        assert rule_passes == []
+        assert 0 < len(rule_passes_1d) <= 352
+
+
+def wavefunction_extended(params, x, y):
+    """``gp.wavefunction`` in extended precision, normalisation included."""
+    ld = np.longdouble
+    x, y = np.asarray(x, dtype=ld), np.asarray(y, dtype=ld)
+    x0, y0, _, _ = gp.first_moments(params)
+    mu, alpha, beta, gamma = (ld(v) for v in (params.mu, params.alpha, params.beta, params.gamma))
+    quad0 = alpha * ld(x0) ** 2 + 2 * beta * ld(x0) * ld(y0) + gamma * ld(y0) ** 2
+    log_n = (np.log(mu) + np.log(alpha * gamma - beta**2) / 2 - np.log(ld(np.pi)) - mu * quad0) / 2
+    exponent = (
+        -mu * (params.quad_a * x**2 + params.quad_b * x * y + params.quad_c * y**2)
+        + params.lin_f * x + params.lin_g * y
+    )
+    return np.exp(exponent + log_n)
+
+
+#: The 40-width-displaced centred packet, whose prefactor underflows.
+FAR = gp.params_from_moments(
+    RealParams(mu=1.0, alpha=1.0, beta=0.0, gamma=1.0, chi_a=0.0, chi_c=0.0, rho=0.0),
+    40.0, 0.0, 0.0, 0.0,
+)
+
+
+class TestComplexPrincipalFrame:
+    """``K psi |det T|`` equals the separated exponent the two 1-D integrals take."""
+
+    # (name, call, kernel, |coefficient| bounding the kernel's exponent by
+    # coefficient * (|r| + |r'|)^2)
+    KERNELS = [
+        ("free", lambda p, pts: propagate_free(p, 0.9, pts),
+         lambda x, y, xs, ys: full_free_kernel(0.9, x, y, xs, ys), 1.0 / 1.8),
+        ("oscillator", lambda p, pts: propagate_oscillator(p, 0.7, pts, omega=1.3),
+         lambda x, y, xs, ys: full_oscillator_kernel(0.7, 1.3, x, y, xs, ys),
+         1.3 / (2.0 * math.sin(0.91))),
+        ("magnetic", lambda p, pts: propagate_magnetic(p, 0.8, pts, omega_larmor=-0.9),
+         lambda x, y, xs, ys: full_magnetic_kernel(0.8, -0.9, x, y, xs, ys),
+         0.45 * (1.0 + 1.0 / math.tan(0.72))),
+    ]
+
+    @pytest.mark.parametrize("name, call, kernel, coef", KERNELS, ids=[c[0] for c in KERNELS])
+    @pytest.mark.parametrize("params", [GENERIC, gp.build_min_packet(ANTI), "stress", FAR],
+                             ids=["generic", "anti", "stress", "far"])
+    def test_separated_exponent_reproduces_kernel_times_psi(
+        self, monkeypatch, rng, params, name, call, kernel, coef
+    ):
+        params = STRESS if params == "stress" else params
+        seen = []
+
+        def capture(p, pref, kappa, lam, const, quad):
+            seen.append((pref, kappa, lam, const))
+            return np.zeros(len(const), dtype=complex)
+
+        monkeypatch.setattr(propagate_module, "_propagate", capture)
+        c = np.array(gp.first_moments(params)[:2])
+        pts = c + rng.uniform(-1.5, 1.5, size=(7, 2))
+        call(params, [tuple(p) for p in pts])
+        (kernel_terms,) = seen
+        frame, centre, quad, lin, const, log_size = propagate_module._separate(
+            params, *kernel_terms
+        )
+        # The real part of the quadratic is -|zeta|^2 / 4 and the linear part
+        # is imaginary, so each |J_k| <= sqrt(4 pi); the constant's real part
+        # is the budget's size, the same for every target.
+        assert np.array_equal(quad.real, [-0.25, -0.25])
+        assert np.all(lin.real == 0.0)
+        assert np.all(const.real == log_size)
+        # Lab points out to 6 density widths along the principal axes.
+        rot, sigmas = moments_module._principal_axes(params)
+        lab = c + rng.uniform(-6.0, 6.0, size=(40, 2)) * sigmas @ rot.T
+        zeta = np.linalg.solve(frame, (lab - centre).T)
+        got = np.exp(quad @ zeta**2 + lin @ zeta + const[:, None])
+        ld = np.longdouble
+        xs, ys = lab.T.astype(ld)
+        want = (kernel(pts[:, 0, None].astype(ld), pts[:, 1, None].astype(ld), xs, ys)
+                * wavefunction_extended(params, xs, ys) * abs(np.linalg.det(frame)))
+        # 1e-13 relative, widened by the rounding of the lab-frame exponent,
+        # which any double-precision route carries: the stress packet's
+        # chirp terms reach 1e5 at its centroid, where they cancel.
+        radius = np.hypot(*pts.T)[:, None] + np.hypot(*lab.T)
+        size = exponent_size(moments_module.wavefunction_gaussian(params), *lab.T) + coef * radius**2
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - want.astype(complex)) <= (1e-13 + 4.0 * eps * size) * np.abs(got))
 
 
 def stress_packet() -> RealParams:
@@ -1162,21 +1316,50 @@ class TestGaussianTriples:
         propagate_oscillator(GENERIC, 0.7, PROBES, omega=1.3)
         propagate_magnetic(GENERIC, 0.8, PROBES, omega_larmor=-0.9)
 
+    @staticmethod
+    def kernel_triple_integral(params, t, kernel="free"):
+        """A propagator integral as one 2-D integral of complex Gaussian triples.
+
+        The free kernel at ``PROBES``, or the field kernel (omega_L = -0.9),
+        factored per target over the axis-aligned box, with ``psi`` as the
+        core.
+        """
+        x, y = np.array(PROBES).T[:, :, None]
+        psi = moments_module.wavefunction_gaussian(params)
+        if kernel == "free":
+            coef, cot, rot = 1j / (2.0 * HBAR * t), 1.0, 0.0
+        else:
+            coef = -0.45j / HBAR
+            cot, rot = 1.0 / math.tan(-0.9 * t), 2.0
+
+        def factors(xs, ys):
+            xs, ys = xs[:, 0], ys[0, :]
+            return (np.exp(coef * (cot * (x - xs) ** 2 + rot * y * xs)), psi,
+                    np.exp(coef * (cot * (y - ys) ** 2 - rot * x * ys)))
+
+        spec = QuadratureSpec(abs_tol=1e-12, max_splits=8)
+        return integrate_adaptive(factors, integration_box(params), spec)
+
     def test_cross_phase_cache_does_not_change_values(self):
         cache = quadrature_module._weighted_cross_phase
 
         def run(params):
-            return propagate_magnetic(params, 0.8, PROBES, omega_larmor=-0.9)
+            return self.kernel_triple_integral(params, 0.8, kernel="magnetic")
 
         cache.cache_clear()
         cold = run(GENERIC)
+        # The 2-D route agrees with the propagator's two 1-D integrals, to
+        # within the truncation of its narrower box.
+        pref = -0.9 / (2.0 * math.pi * 1j * HBAR * math.sin(-0.72))
+        frame_route = propagate_magnetic(GENERIC, 0.8, PROBES, omega_larmor=-0.9)
+        assert np.max(np.abs(pref * cold - frame_route)) <= 1e-11
         assert np.array_equal(run(GENERIC), cold)
         other = run(DISPLACED)
         assert np.array_equal(run(GENERIC), cold)
         cache.cache_clear()
         assert np.array_equal(run(DISPLACED), other)
         for params in (GENERIC, DISPLACED, STRESS, gp.build_min_packet(ANTI)):
-            propagate_free(params, 0.45, PROBES)
+            self.kernel_triple_integral(params, 0.45)
         info = cache.cache_info()
         assert info.hits > info.misses > 0
         assert info.currsize <= info.maxsize == quadrature_module._CROSS_PHASES
