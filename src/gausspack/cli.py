@@ -55,6 +55,7 @@ from .packet import (
     ellipse,
     first_moments,
     gaussian_state,
+    log_normalization,
     normalization,
 )
 from .verify import CHECKS, run_checks, verify_minimum
@@ -280,6 +281,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         "schema_version": SCHEMA_VERSION,
         "packet": params.to_dict(),
         "norm_prefactor": normalization(params),
+        "log_norm_prefactor": log_normalization(params),
         "center": {"x0": x0, "y0": y0, "px0": px0, "py0": py0},
         "covariance": gaussian_state(params).cov,
         "angular_momentum": _with_total(split),

@@ -14,29 +14,33 @@ A packet's moments are integrated in its principal frame, ``x = c + T
 holds the principal axes and standard deviations of the density, read
 from ``alpha``, ``beta``, ``gamma`` and ``mu`` as the density's own
 exponent is.  There the density is a standard normal, whatever the
-packet's widths, tilt or displacement, so one square ``[-h, h]^2`` with
-``h = half_width_sigmas`` serves every packet, one split of it meets the
-budget (10 rule passes), and the absolute ``abs_tol`` acts as a relative
-budget on moments of order 1.  All moments share one stacked adaptive
-integral: the matrix ``M[a, b] = int xi^a eta^b rho~`` for ``a + b <
-width``.  An
-observable's polynomial ``P`` of total degree ``d`` is composed with the
-map into ``sum_ab C''[a, b] xi^a eta^b``, from the frame coefficients of
-each ``x^i y^j``, cached per packet, and ``width = max(3, d + 1)``; so the
-norm, the 4 first and 10 second moments and ``<L>`` share one width-3
-matrix and ``<L^2>`` takes a width-5 one.  Each ``M[a, b]`` meets
-``abs_tol`` on its own, so an expectation's error is bounded by ``sum_ab
-|C''[a, b]| err[a, b]`` (see :func:`expectation`).  The last
-``_CACHE_SIZE`` matrices are kept; a value is never read from a wider
-matrix than its own width, so it does not depend on earlier calls.
-Propagators take the same frame further, to the complex principal frame of
-``K psi`` (see :mod:`~gausspack.oracle.propagate`); only overlaps still
-integrate over :func:`integration_box`.
+packet's widths, tilt or displacement, and it has no cross term, so
+every moment ``M[a, b] = int xi^a eta^b rho~`` factors into 1-D
+integrals: ``M[a, b] = s m_a m_b`` with ``m_a = int xi^a exp(-xi^2 / 2)
+/ sqrt(2 pi) dxi`` over ``[-h, h]``, ``h = half_width_sigmas``, and
+``s`` the density's own constant times ``|det T| 2 pi``, which is 1 up to
+rounding.  The ``m_a`` for ``a < width`` are the components of one
+stacked adaptive 1-D integral that depends only on the
+:class:`QuadratureSpec` and the width, so it is computed once and serves
+every packet; the absolute ``abs_tol`` acts as a relative budget on
+moments of order 1.  An observable's polynomial ``P`` of total degree
+``d`` is composed with the map into ``sum_ab C''[a, b] xi^a eta^b``, from
+the frame coefficients of each ``x^i y^j``, cached per packet, and
+``width = max(3, d + 1)``; so the norm, the 4 first and 10 second moments
+and ``<L>`` share the width-3 ``m_a`` and ``<L^2>`` takes the width-5
+ones.  Each ``M[a, b]`` meets ``abs_tol`` on its own, so an expectation's
+error is bounded by ``sum_ab |C''[a, b]| err[a, b]`` (see
+:func:`expectation`).  A value never reads the ``m_a`` of a wider width
+than its own, so it does not depend on earlier calls.  Propagators take
+the same frame further, to the complex principal frame of ``K psi`` (see
+:mod:`~gausspack.oracle.propagate`); only overlaps still integrate over
+:func:`integration_box`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -44,16 +48,14 @@ import numpy as np
 
 from ..constants import HBAR
 from ..errors import InvalidParameterError
-from ..packet import RealParams, first_moments, log_normalization
+from ..packet import RealParams, first_moments
 from .observables import Observable
-from .quadrature import Gaussian, QuadratureSpec, integrate_adaptive
+from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = [
     "expectation",
     "norm_integral",
     "integration_box",
-    "density_gaussian",
-    "wavefunction_gaussian",
     "wigner_fourth_moment",
 ]
 
@@ -118,49 +120,6 @@ def _observable_polynomial(params: RealParams, obs: Observable) -> Poly:
     return total
 
 
-def wavefunction_gaussian(params: RealParams) -> Gaussian:
-    """The packet's wavefunction as a quadrature :class:`Gaussian`.
-
-    ``psi = exp(-mu (a x^2 + b x y + c y^2) + f x + g y + log N)``, the
-    expression :func:`~gausspack.packet.wavefunction` evaluates.  ``log N``
-    is taken directly, so a packet displaced so far that ``N`` underflows
-    still has a finite exponent.
-    """
-    mu = params.mu
-    return Gaussian(
-        -mu * params.quad_a,
-        -mu * params.quad_b,
-        -mu * params.quad_c,
-        params.lin_f,
-        params.lin_g,
-        complex(log_normalization(params)),
-    )
-
-
-def density_gaussian(params: RealParams) -> Gaussian:
-    """The packet's density ``|psi|^2`` as a real quadrature :class:`Gaussian`.
-
-    Twice the real part of :func:`wavefunction_gaussian`'s exponent,
-    written about the centroid ``(x0, y0)`` where its linear part vanishes:
-    ``log(mu sqrt(delta) / pi) - mu (alpha u^2 + 2 beta u v + gamma v^2)``,
-    the expression :func:`~gausspack.packet.density` evaluates.  About the
-    origin instead, a far-displaced, strongly correlated packet's density
-    would lose digits to cancellation between its quadratic and linear terms.
-    """
-    mu = params.mu
-    x0, y0, _, _ = first_moments(params)
-    return Gaussian(
-        -mu * params.alpha,
-        -2.0 * mu * params.beta,
-        -mu * params.gamma,
-        0.0,
-        0.0,
-        math.log(mu * math.sqrt(params.delta) / math.pi),
-        x0,
-        y0,
-    )
-
-
 def integration_box(
     params: RealParams, half_width_sigmas: float = 8.5, pad: float = 0.0
 ) -> tuple[float, float, float, float]:
@@ -180,10 +139,11 @@ def integration_box(
     return (x0 - hw, x0 + hw, y0 - hw, y0 + hw)
 
 
-#: Frames, moment matrices and frame powers kept.  A packet takes one
-#: moment matrix and one power table per width (3 for its first and second
-#: moments, <L> and the norm, 5 for <L^2>), so this holds about two packets;
-#: a longer sweep recomputes, one integral a packet.
+#: Frames, frame powers and axis moments kept.  A packet takes one frame
+#: and one power table per width (3 for its first and second moments, <L>
+#: and the norm, 5 for <L^2>), so this holds about two packets; the axis
+#: moments depend only on the spec and the width, so it holds both widths of
+#: two specs.
 _CACHE_SIZE = 4
 
 #: ``((T00, T01), (T10, T11)), (cx, cy)``: the map ``x = c + T (xi, eta)``.
@@ -220,54 +180,51 @@ def _principal_frame(params: RealParams) -> Frame:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _frame_moments(
-    params: RealParams, quad: QuadratureSpec, frame: Frame, width: int
-) -> np.ndarray:
-    """Read-only ``M[a, b] = int xi^a eta^b rho~ dxi deta`` for ``a + b < width``.
+def _axis_moments(quad: QuadratureSpec, width: int) -> np.ndarray:
+    """Read-only ``m_a = int xi^a exp(-xi^2 / 2) / sqrt(2 pi) dxi`` over ``[-h, h]``.
 
-    ``rho~(xi, eta) = rho(c + T (xi, eta)) |det T|`` is the density in the
-    ``frame`` ``(T, c)``; entries with ``a + b >= width`` are 0.  Its
-    exponent is :func:`density_gaussian`'s under the map: no linear term,
-    the constant plus ``log |det T|``, and the quadratic form ``T^T A T``
-    with ``A = mu [[alpha, beta], [beta, gamma]]``.  ``A`` is taken in its
-    factored form ``T0^-T T0^-1 / 2`` through the principal frame ``T0``,
-    so ``T^T A T = G^T G / 2`` with ``G = T0^-1 T``; the rule never
-    evaluates the lab-frame form, whose entries cancel to ``eps`` times
-    the condition number on a long, tilted packet.  The box is centred on
-    the density and spans ``half_width_sigmas`` of its standard deviation
-    along each frame axis, ``sqrt(diag(T^-1 Sigma T^-T))`` with ``Sigma``
-    the density's covariance; in the principal frame it is
-    ``[-h, h]^2``.  All moments are the components of one stacked adaptive
-    integral whose integrand is the triple ``(xi^a, rho~, eta^b)``.
+    ``h = half_width_sigmas``.  All ``m_a`` with ``a < width`` are the
+    components of one stacked adaptive 1-D integral.  ``M[a, b] = s m_a m_b`` must meet
+    ``abs_tol`` for ``a + b < width``.  With ``s`` about 1 and ``|m_a| <=
+    (a - 1)!!``, the standard normal's ``a``-th absolute moment bound, an
+    error ``eps`` in each ``m_a`` moves ``M[a, b]`` by at most ``2 eps``
+    times the largest ``(a - 1)!!``, ``(width - 2)!!``, to first order; so
+    each ``m_a`` gets ``abs_tol / (2 (width - 2)!!)``.
     """
-    rotation, sigmas = _principal_axes(params)
-    rho = density_gaussian(params)
-    t_matrix, origin = np.array(frame[0]), np.array(frame[1])
-    g_matrix = (rotation.T @ t_matrix) / sigmas[:, None]
-    (g00, g01), (g10, g11) = g_matrix
-    det_g = g00 * g11 - g01 * g10
-    g_inverse = np.array([[g11, -g01], [-g10, g00]]) / det_g
-    offset = np.array([rho.x0, rho.y0]) - origin
-    xi0, eta0 = g_inverse @ ((rotation.T @ offset) / sigmas)
-    form = 0.5 * g_matrix.T @ g_matrix
-    log_det = math.log(sigmas[0]) + math.log(sigmas[1]) + math.log(abs(det_g))
-    core = Gaussian(
-        float(-form[0, 0]), float(-2.0 * form[0, 1]), float(-form[1, 1]),
-        0.0, 0.0, rho.const + log_det, float(xi0), float(eta0),
-    )
-    hx, hy = quad.half_width_sigmas * np.sqrt(np.sum(g_inverse**2, axis=1))
-    box = (xi0 - hx, xi0 + hx, eta0 - hy, eta0 + hy)
-    pa, pb = np.nonzero(np.add.outer(np.arange(width), np.arange(width)) < width)
+    h = quad.half_width_sigmas
+    largest = math.prod(range(width - 2, 0, -2))
+    axis_spec = replace(quad, abs_tol=quad.abs_tol / (2.0 * largest))
 
-    def integrand(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Gaussian, np.ndarray]:
-        vx = np.vander(x[:, 0], width, increasing=True).T
-        vy = np.vander(y[0], width, increasing=True).T
-        return vx[pa], core, vy[pb]
+    def integrand(x: np.ndarray) -> np.ndarray:
+        weight = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        return np.vander(x, width, increasing=True).T * weight
 
-    moments = np.zeros((width, width))
-    moments[pa, pb] = integrate_adaptive(integrand, box, quad).real
+    moments = integrate_adaptive(integrand, (-h, h), axis_spec).real
     moments.flags.writeable = False
     return moments
+
+
+def _frame_moments(params: RealParams, quad: QuadratureSpec, width: int) -> np.ndarray:
+    """``M[a, b] = int xi^a eta^b rho~ dxi deta = s m_a m_b`` in the principal frame.
+
+    ``rho~(xi, eta) = rho(c + T (xi, eta)) |det T|`` is the density in the
+    principal frame ``(T, c)``: ``s exp(-(xi^2 + eta^2) / 2) / (2 pi)``
+    with ``s = exp(log(mu sqrt(delta) / pi) + log sigma_1 + log sigma_2 +
+    log 2 pi)``, the density's own constant, ``log |det T|`` and the
+    standard normals' ``log 2 pi``; ``s`` is 1 up to rounding.  Only the
+    entries with ``a + b < width`` are moments an observable of that width
+    reads: its frame coefficients ``C''[a, b]`` vanish for ``a + b >=
+    width``.  ``m_a`` are :func:`_axis_moments`.
+    """
+    _, sigmas = _principal_axes(params)
+    scale = math.exp(
+        math.log(params.mu * math.sqrt(params.delta) / math.pi)
+        + math.log(sigmas[0])
+        + math.log(sigmas[1])
+        + math.log(2.0 * math.pi)
+    )
+    axis = _axis_moments(quad, width)
+    return scale * np.outer(axis, axis)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -297,17 +254,6 @@ def _frame_powers(frame: Frame, width: int) -> np.ndarray:
     return powers
 
 
-def _frame_expectation(
-    params: RealParams, obs: Observable, quad: QuadratureSpec, frame: Frame
-) -> complex:
-    """``<psi| O |psi>`` through the moment matrix of ``frame``; see :func:`expectation`."""
-    poly = _observable_polynomial(params, obs)
-    width = max(3, 1 + max((i + j for i, j in poly), default=0))
-    coeffs = _coefficient_matrix(poly, width).reshape(-1)
-    composed = coeffs @ _frame_powers(frame, width).reshape(width * width, -1)
-    return complex(composed @ _frame_moments(params, quad, frame, width).reshape(-1))
-
-
 def expectation(
     params: RealParams, obs: Observable, quad: QuadratureSpec | None = None
 ) -> complex:
@@ -318,14 +264,21 @@ def expectation(
     (xi, eta)``, ``P`` becomes ``sum_ab C''[a, b] xi^a eta^b``, with
     ``C'' = sum_ij C[i, j] F[i, j]`` and ``F`` the frame coefficients of
     each ``x^i y^j`` (cached per packet), and the value is ``sum_ab
-    C''[a, b] M[a, b]`` with ``M`` the packet's frame moment matrix of width
-    ``max(3, d + 1)`` (one cached integral, shared with every observable of
-    that width).  Each ``M[a, b]`` meets ``abs_tol`` on its own, so the
-    value's error is bounded by ``sum_ab |C''[a, b]| err[a, b]``, not by
-    ``abs_tol`` itself.
+    C''[a, b] M[a, b]`` with ``M[a, b] = s m_a m_b`` the packet's frame
+    moment matrix of width ``max(3, d + 1)``: ``s`` is the packet's own
+    density constant times ``|det T| 2 pi``, and ``m_a`` one cached 1-D
+    integral per spec and width, shared by every packet and every
+    observable of that width.  Each ``M[a, b]`` meets ``abs_tol`` on its
+    own, so the value's error is bounded by ``sum_ab |C''[a, b]| err[a,
+    b]``, not by ``abs_tol`` itself.
     """
     quad = quad or QuadratureSpec()
-    return _frame_expectation(params, obs, quad, _principal_frame(params))
+    poly = _observable_polynomial(params, obs)
+    width = max(3, 1 + max((i + j for i, j in poly), default=0))
+    coeffs = _coefficient_matrix(poly, width).reshape(-1)
+    powers = _frame_powers(_principal_frame(params), width)
+    composed = coeffs @ powers.reshape(width * width, -1)
+    return complex(composed @ _frame_moments(params, quad, width).reshape(-1))
 
 
 def norm_integral(params: RealParams, quad: QuadratureSpec | None = None) -> float:
@@ -335,7 +288,7 @@ def norm_integral(params: RealParams, quad: QuadratureSpec | None = None) -> flo
     first and second moments share, so it costs no integral of its own.
     """
     quad = quad or QuadratureSpec()
-    return float(_frame_moments(params, quad, _principal_frame(params), 3)[0, 0])
+    return float(_frame_moments(params, quad, 3)[0, 0])
 
 
 @lru_cache(maxsize=8)

@@ -14,22 +14,10 @@ because its share has fallen below double-precision roundoff.
 An integrand may be vector-valued: a stack of components of shape
 ``(..., n)`` on the ``n`` nodes of an interval (see
 :func:`gauss_legendre_1d`), or ``(..., n, n)`` on the ``n x n`` node grid
-of a rectangle, or, when every component factors as ``a[t](x) g(x, y)
-b[t](y)`` with ``g`` a Gaussian, the triple ``(a, Gaussian(...), b)`` (see
-:func:`gauss_legendre_2d`).  All components then share one partition, a
-panel is ranked by its largest component error, and refinement goes on
-until every component's summed estimate meets the budget.
-
-The rule evaluates a :class:`Gaussian` itself, in the panel's own
-coordinates ``x = xc + h t``, ``y = yc + k s`` on nodes ``t, s``: its
-modulus is one real ``exp`` over the ``n x n`` nodes, its ``x``-only and
-``y``-only phases are two length-``n`` rows folded into ``a`` and ``b``,
-and the cross phase ``exp(i Im(xy) h k t s)`` depends on the panel only
-through ``Im(xy) h k``, so it is read from a small cache.  A pass thus
-takes no complex exponential over the nodes, except the first pass with a
-given ``(order, Im(xy) h k)``, which fills the cache entry.  The modulus is
-never split into row factors: on a wide panel of a strongly correlated
-Gaussian the cross term alone can exceed the range of ``exp``.
+of a rectangle (see :func:`gauss_legendre_2d`).  All components then
+share one partition, a panel is ranked by its largest component error,
+and refinement goes on until every component's summed estimate meets the
+budget.
 """
 
 from __future__ import annotations
@@ -47,7 +35,6 @@ from .._record import Record
 from ..errors import InvalidParameterError, ToleranceError
 
 __all__ = [
-    "Gaussian",
     "QuadratureSpec",
     "gauss_legendre_1d",
     "gauss_legendre_2d",
@@ -66,9 +53,8 @@ class QuadratureSpec(Record, name="quadrature"):
     bisections; a sum still above ``10 * abs_tol`` then raises
     :class:`~gausspack.errors.ToleranceError`.  ``half_width_sigmas``
     (``h``) sets how far the oracle's integration boxes extend, in standard
-    deviations of the density: moments integrate over ``[-h, h]^2`` in the
-    packet's principal frame (each axis of a box in any other frame spans
-    ``h`` of the density's standard deviation along it), propagators over
+    deviations of the density: moments integrate over ``[-h, h]`` along
+    each axis of the packet's principal frame, propagators over
     ``[-h, h]`` along each axis of the integrand's complex principal frame,
     where ``|psi|`` falls off as ``exp(-h^2 / 4)``, and overlaps over the
     lab-frame square of half-width ``h`` times the largest principal
@@ -94,92 +80,14 @@ class QuadratureSpec(Record, name="quadrature"):
             raise InvalidParameterError("tolerances and widths must be positive")
 
 
-class Gaussian(NamedTuple):
-    """``g = exp(xx u^2 + xy u v + yy v^2 + x u + y v + const)``, ``u = x - x0``, ``v = y - y0``.
-
-    The six coefficients may be complex; a Gaussian whose coefficients are
-    all real numbers is evaluated in real arithmetic.  The origin
-    ``(x0, y0)`` defaults to ``(0, 0)``; placing it at the Gaussian's peak
-    keeps the exponent of a far-displaced, strongly correlated Gaussian
-    free of the cancellation between its quadratic and linear terms.
-    """
-
-    xx: complex
-    xy: complex
-    yy: complex
-    x: complex
-    y: complex
-    const: complex
-    x0: float = 0.0
-    y0: float = 0.0
-
-    @property
-    def is_real(self) -> bool:
-        return not any(isinstance(c, complex) for c in self[:6])
-
-
-#: Maps the node grids ``X, Y`` to a dense stack of values or to the
-#: triple ``(a, Gaussian, b)``; see :func:`gauss_legendre_2d`.
-Integrand = Callable[
-    [np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, Gaussian, np.ndarray]
-]
+#: Maps the node grids ``X, Y`` to a stack of values; see :func:`gauss_legendre_2d`.
+Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @lru_cache(maxsize=32)
 def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
-
-
-@lru_cache(maxsize=32)
-def _node_products(order: int) -> np.ndarray:
-    """Read-only ``t_i t_j`` over the order's nodes."""
-    t, _ = _nodes(order)
-    products = np.multiply.outer(t, t)
-    products.flags.writeable = False
-    return products
-
-
-#: Cross-phase matrices kept.  An integral of a complex Gaussian triple
-#: takes about two keys per bisection depth (one per rule order), so this
-#: covers one to depth 8 in about 0.85 MB.
-_CROSS_PHASES = 32
-
-
-@lru_cache(maxsize=_CROSS_PHASES)
-def _weighted_cross_phase(order: int, phase: float) -> np.ndarray:
-    """Read-only ``exp(i phase t_i t_j) w_j`` over the order's nodes."""
-    _, w = _nodes(order)
-    matrix = np.exp(1j * phase * _node_products(order)) * w
-    matrix.flags.writeable = False
-    return matrix
-
-
-def _gaussian_on_panel(
-    g: Gaussian, centre: tuple[float, float], half: tuple[float, float], order: int
-) -> tuple[np.ndarray | float, np.ndarray, np.ndarray | float]:
-    """``(p, core, q)`` with ``g(xc + h t_i, yc + k t_j) w_j = p[i] core[i, j] q[j]``.
-
-    The exponent is re-expanded about the panel centre ``(xc, yc)`` in the
-    scaled offsets ``t = (x - xc) / h`` and ``s = (y - yc) / k``:
-    ``e0 + ex t + ey s + xx h^2 t^2 + xy h k t s + yy k^2 s^2``.  For a
-    real Gaussian ``p`` and ``q`` are 1.
-    """
-    t, w = _nodes(order)
-    h, k = half
-    xc, yc = centre[0] - g.x0, centre[1] - g.y0
-    e0 = (g.xx * xc + g.xy * yc + g.x) * xc + (g.yy * yc + g.y) * yc + g.const
-    row_x = e0 + t * ((2.0 * g.xx * xc + g.xy * yc + g.x) * h + t * (g.xx * h * h))
-    row_y = t * ((2.0 * g.yy * yc + g.xy * xc + g.y) * k + t * (g.yy * k * k))
-    cross = g.xy * (h * k)
-    exponent = np.multiply(_node_products(order), cross.real)
-    exponent += row_x.real[:, None]
-    exponent += row_y.real
-    modulus = np.exp(exponent, out=exponent)
-    if g.is_real:
-        return 1.0, np.multiply(modulus, w, out=modulus), 1.0
-    core = modulus * _weighted_cross_phase(order, cross.imag)
-    return np.exp(1j * row_x.imag), core, np.exp(1j * row_y.imag)
 
 
 def _axis_grid(axis: np.ndarray, along: int) -> np.ndarray:
@@ -229,17 +137,6 @@ def gauss_legendre_2d(
     (shape ``(1, order)``) are the axes themselves, so an integrand that
     factors over the axes can work on the open grid, and writing into
     either view raises ``ValueError``.
-
-    A stacked integrand whose components factor as
-    ``values[t, i, j] = a[t, i] * g(x_i, y_j) * b[t, j]``, with ``g`` a
-    :class:`Gaussian`, may return the triple ``(a, g, b)`` instead, with
-    ``a`` and ``b`` of shape ``(T, order)``.  The rule evaluates ``g``
-    itself on the panel (see the module docstring) as ``p[i] core[i, j]
-    q[j]``, with the weights in ``core``, and contracts
-    ``sum_j ((a p w) @ core)[t, j] (b q)[t, j]``: one real ``exp`` over the
-    nodes, one ``(T, order) x (order, order)`` product and one row sum; the
-    ``(T, order, order)`` stack is never built.  The result has shape
-    ``(T,)`` as for the dense stack.
     """
     x0, x1, y0, y1 = box
     t, w = _nodes(order)
@@ -249,12 +146,7 @@ def gauss_legendre_2d(
     ys = k * t + yc
     values = f(_axis_grid(xs, 0), _axis_grid(ys, 1))
     jac = 0.25 * (x1 - x0) * (y1 - y0)
-    if isinstance(values, tuple):
-        a, g, b = values
-        p, core, q = _gaussian_on_panel(g, (xc, yc), (h, k), order)
-        result = jac * np.sum(((a * (p * w)) @ core) * (b * q), axis=-1)
-    else:
-        result = jac * (np.asarray(values) @ w @ w)
+    result = jac * (np.asarray(values) @ w @ w)
     return complex(result) if result.ndim == 0 else result.astype(complex, copy=False)
 
 
@@ -306,13 +198,19 @@ def integrate_adaptive(
     callers size the box in a frame fitted to the integrand for this
     reason.  The moment integrals change variables to the packet's
     principal frame ``x = c + T (xi, eta)``, where the density is a
-    standard normal on the square ``[-h, h]^2``, and the propagators to
-    the complex principal frame of ``K psi``, where each target's integral
-    is a product of two 1-D integrals over ``[-h, h]`` (see
+    product of two standard normals, each integrated over ``[-h, h]``
+    (see :mod:`~gausspack.oracle.moments`), and the propagators to the
+    complex principal frame of ``K psi``, where each target's integral is
+    a product of two 1-D integrals over ``[-h, h]`` (see
     :mod:`~gausspack.oracle.propagate`); so no feature is narrower than the
     box by more than a fixed factor, however long or thin the packet.
     Overlaps still use a lab-frame square sized by the packet's longest
     axis, which a narrow enough packet slips through.
+
+    A rule value that is not finite is reported by the ``ToleranceError``
+    alone: NumPy's invalid-operation warnings (``inf - inf`` in an error
+    estimate, ``inf + -inf`` in a contraction) are silenced for the call,
+    the integrand's own evaluation included.
 
     Raises
     ------
@@ -358,16 +256,17 @@ def integrate_adaptive(
     def leaf_errors() -> np.ndarray:
         return np.sum([panel.err for panel in finished + splittable], axis=0)
 
-    err_sum = add(tuple(box), 0)
-    while splittable and np.any(err_sum > spec.abs_tol):
-        worst_panel = heapq.heappop(splittable)
-        err_sum = err_sum - worst_panel.err
-        for part in _bisect(worst_panel.bounds):
-            err_sum = err_sum + add(part, worst_panel.depth + 1)
-        if not np.any(err_sum > spec.abs_tol):
-            # The running sum is built by subtraction; confirm it from the
-            # leaves before stopping.
-            err_sum = leaf_errors()
+    with np.errstate(invalid="ignore"):
+        err_sum = add(tuple(box), 0)
+        while splittable and np.any(err_sum > spec.abs_tol):
+            worst_panel = heapq.heappop(splittable)
+            err_sum = err_sum - worst_panel.err
+            for part in _bisect(worst_panel.bounds):
+                err_sum = err_sum + add(part, worst_panel.depth + 1)
+            if not np.any(err_sum > spec.abs_tol):
+                # The running sum is built by subtraction; confirm it from the
+                # leaves before stopping.
+                err_sum = leaf_errors()
 
     worst = float(np.max(leaf_errors(), initial=0.0))
     if worst > 10.0 * spec.abs_tol:

@@ -9,6 +9,7 @@ import pytest
 import gausspack as gp
 from gausspack import cli, verify
 from gausspack.cli import main
+from gausspack.packet import log_normalization
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,13 @@ class TestDescribe:
         doc = run_json(capsys, "describe", "--Li", "0.125", "--Lc", "1.5",
                        "--co", "--w", "0")
         assert doc["angular_momentum"]["total"] == pytest.approx(13.0 / 8.0, rel=1e-12)
+
+    def test_far_displaced_packet_reports_its_log_prefactor(self, capsys):
+        # At l_c = 2000 the prefactor underflows: norm_prefactor reads 0.0.
+        doc = run_json(capsys, "describe", "--Li", "0.5", "--Lc", "2000", "--co")
+        params = gp.RealParams.from_dict(doc["packet"])
+        assert math.isfinite(doc["log_norm_prefactor"])
+        assert doc["log_norm_prefactor"] == log_normalization(params)
 
     def test_spec_flag_accepts_either_file_format(self, capsys, tmp_path, params_file):
         built = run_json(capsys, "minimize", "--Li", "0.5", "--Lc", "2.0", "--co")
