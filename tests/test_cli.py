@@ -91,6 +91,13 @@ class TestDescribe:
         assert math.isfinite(doc["log_norm_prefactor"])
         assert doc["log_norm_prefactor"] == log_normalization(params)
 
+    def test_log_prefactor_is_the_log_of_the_prefactor(self, capsys):
+        doc = run_json(capsys, "describe", "--Li", "0.5", "--Lc", "2.0", "--co")
+        assert doc["norm_prefactor"] > 0.0
+        assert doc["log_norm_prefactor"] == pytest.approx(
+            math.log(doc["norm_prefactor"]), rel=1e-14, abs=1e-14
+        )
+
     def test_spec_flag_accepts_either_file_format(self, capsys, tmp_path, params_file):
         built = run_json(capsys, "minimize", "--Li", "0.5", "--Lc", "2.0", "--co")
         spec_path = tmp_path / "spec.json"

@@ -229,14 +229,24 @@ class TestQuadrature:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_integrand_raises(self, bad):
         spec = QuadratureSpec(max_splits=3)
-        box = (-1.0, 1.0, -1.0, 1.0)
         with pytest.raises(ToleranceError, match="not finite"):
-            integrate_adaptive(lambda x, y: np.full(x.shape, bad), box, spec)
+            integrate_adaptive(lambda x, y: np.full(x.shape, bad), (-1.0, 1.0, -1.0, 1.0), spec)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stacked_integrand_raises_without_warning(self, bad):
+        spec = QuadratureSpec(max_splits=3)
+        box = (-1.0, 1.0, -1.0, 1.0)
         # A stacked inf in both rules made the error estimate inf - inf, and
         # NumPy warned about it before the ToleranceError.
         with pytest.raises(ToleranceError, match="not finite"):
             integrate_adaptive(
                 lambda x, y: np.stack([np.exp(-(x**2) - y**2), np.full(x.shape, bad)]), box, spec
+            )
+        # An inf and a -inf in one contraction: inf + -inf.
+        with pytest.raises(ToleranceError, match="not finite"):
+            integrate_adaptive(
+                lambda x, y: np.stack([np.where(x < -0.5, -bad, bad)]), box, spec
             )
 
     def test_non_finite_node_raises(self):
@@ -473,15 +483,28 @@ def frame_coefficients(params, obs, frame):
     return out
 
 
-def frame_error_bound(params, obs):
+def frame_error_bound(params, obs, quad=None):
     """``10 abs_tol (1 + sum_ab |C''_ab|)``, with ``C''`` the observable's
-    polynomial in the packet's principal frame.
+    polynomial in the packet's principal frame and ``abs_tol`` that of
+    ``quad`` (the default spec's by default).
 
     Each frame moment's summed error estimate is within ``10 abs_tol``, so
     this bounds ``expectation``'s error; the 1 covers the reference's own.
     """
     coeffs = frame_coefficients(params, obs, moments_module._principal_frame(params))
-    return 10.0 * QuadratureSpec().abs_tol * (1.0 + sum(abs(c) for c in coeffs.values()))
+    abs_tol = (quad or QuadratureSpec()).abs_tol
+    return 10.0 * abs_tol * (1.0 + sum(abs(c) for c in coeffs.values()))
+
+
+def truncated_normal_moments(h, width):
+    """``m_a = int xi^a exp(-xi^2 / 2) / sqrt(2 pi)`` over ``[-h, h]`` for
+    ``a < width``, in closed form: ``m_0 = erf(h / sqrt 2)``, the odd ones
+    vanish, and by parts ``m_a = (a - 1) m_{a-2} - 2 h^{a-1} phi(h)``."""
+    phi = math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+    m = [math.erf(h / math.sqrt(2.0)), 0.0]
+    for a in range(2, width):
+        m.append((a - 1) * m[a - 2] - (2.0 * h ** (a - 1) * phi if a % 2 == 0 else 0.0))
+    return np.array(m[:width])
 
 
 _X, _PX = position_monomial(1, 0), momentum_monomial(1, 0)
@@ -547,7 +570,10 @@ class TestFrameMoments:
 
     ALL = tuple(range(len(ALL_INTEGRALS)))
 
-    @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
+    @pytest.mark.parametrize(
+        "params", [DISPLACED, GENERIC, gp.build_min_packet(ANTI)],
+        ids=["displaced", "generic", "anti"],
+    )
     @pytest.mark.parametrize("name", list(REFERENCE_OBSERVABLES))
     def test_within_error_bound_of_dense_reference(self, params, name):
         obs = REFERENCE_OBSERVABLES[name]
@@ -617,6 +643,51 @@ class TestFrameMoments:
         assert len(integral_calls) == 2
         assert expectation(GENERIC, _X, quad=QuadratureSpec()) == x
         assert len(integral_calls) == 2
+
+    AXIS_SPECS = {
+        "default": QuadratureSpec(),
+        "narrow": QuadratureSpec(half_width_sigmas=4.0),
+        "coarse": QuadratureSpec(order=8, refined_order=12, abs_tol=1e-11),
+        "split": QuadratureSpec(order=4, refined_order=6, abs_tol=1e-12, max_splits=10),
+    }
+
+    @pytest.mark.parametrize("spec", list(AXIS_SPECS))
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_axis_moments_meet_their_budget(self, cold_cache, width, spec):
+        quad = self.AXIS_SPECS[spec]
+        want = truncated_normal_moments(quad.half_width_sigmas, width)
+        axis = moments_module._axis_moments(quad, width)
+        assert axis.shape == (width,)
+        # Each m_a's share: abs_tol / (2 (width - 2)!!), raised above 10 times.
+        share = quad.abs_tol / (2.0 * math.prod(range(width - 2, 0, -2)))
+        assert np.all(np.abs(axis - want) <= 10.0 * share)
+        # Every moment an observable of this width reads meets abs_tol.
+        matrix = moments_module._frame_moments(GENERIC, quad, width)
+        read = np.add.outer(np.arange(width), np.arange(width)) < width
+        assert np.all(np.abs(matrix - np.outer(want, want))[read] <= quad.abs_tol)
+
+    @pytest.mark.parametrize("change", ["order", "half_width", "tolerance", "all"])
+    def test_values_do_not_depend_on_the_spec(self, change, integral_calls):
+        params = minimal_packet(100.0, u=0.7)
+        fields = {
+            "order": dict(order=24, refined_order=40),
+            "half_width": dict(half_width_sigmas=10.0),
+            "tolerance": dict(abs_tol=1e-12),
+        }
+        fields["all"] = {k: v for d in list(fields.values()) for k, v in d.items()}
+        quad = QuadratureSpec(**fields[change])
+        norm = norm_integral(params, quad)
+        observables = [obs for obs in ALL_INTEGRALS if obs is not None]
+        values = [expectation(params, obs, quad) for obs in observables]
+        # One axis integral per width, over [-h, h] of this spec.
+        assert len(integral_calls) == 2
+        for interval in integral_calls:
+            np.testing.assert_allclose(interval, [-quad.half_width_sigmas,
+                                                  quad.half_width_sigmas], rtol=1e-15)
+        assert norm == pytest.approx(norm_integral(params), abs=20.0 * quad.abs_tol)
+        for obs, got in zip(observables, values):
+            bound = frame_error_bound(params, obs, quad) + frame_error_bound(params, obs)
+            assert abs(got - expectation(params, obs)) <= bound
 
     def test_moment_matrix_and_powers_are_read_only(self, cold_cache):
         moments = moments_module._frame_moments(GENERIC, QuadratureSpec(), 3)
