@@ -49,6 +49,9 @@ __all__ = [
 #: Relative tolerance for the internal closed-form vs. matrix-route checks.
 _CROSSCHECK_RTOL = 1e-10
 
+#: ``np.allclose``'s default tolerances, for the symmetry of an observable's matrix.
+_SYMMETRY_RTOL, _SYMMETRY_ATOL = 1e-5, 1e-8
+
 
 def angular_momentum_matrix() -> np.ndarray:
     """Symmetric matrix B with ``x py - y px = xi^T B xi``."""
@@ -71,8 +74,13 @@ def oscillator_matrix(omega: float, mass: float = MASS) -> np.ndarray:
 def quadratic_stats(b: np.ndarray, state: GaussianState) -> tuple[float, float]:
     """Mean and variance of the observable ``xi^T B xi`` in a Gaussian state."""
     b = np.asarray(b, dtype=float)
-    if b.shape != (4, 4) or not np.allclose(b, b.T):
-        raise InvalidParameterError("observable matrix must be symmetric 4x4")
+    if b.shape != (4, 4):
+        raise InvalidParameterError(f"observable matrix must be 4x4, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise InvalidParameterError("observable matrix must be finite")
+    # ``np.allclose(b, b.T)`` in one comparison.
+    if not (abs(b - b.T) <= _SYMMETRY_ATOL + _SYMMETRY_RTOL * abs(b.T)).all():
+        raise InvalidParameterError("observable matrix must be symmetric")
     v = state.cov
     m = state.mean
     mean = float(np.trace(b @ v) + m @ b @ m)

@@ -25,16 +25,26 @@ stacked adaptive 1-D integral that depends only on the
 every packet; the absolute ``abs_tol`` acts as a relative budget on
 moments of order 1.  An observable's polynomial ``P`` of total degree
 ``d`` is composed with the map into ``sum_ab C''[a, b] xi^a eta^b``, from
-the frame coefficients of each ``x^i y^j``, cached per packet, and
-``width = max(3, d + 1)``; so the norm, the 4 first and 10 second moments
-and ``<L>`` share the width-3 ``m_a`` and ``<L^2>`` takes the width-5
-ones.  Each ``M[a, b]`` meets ``abs_tol`` on its own, so an expectation's
-error is bounded by ``sum_ab |C''[a, b]| err[a, b]`` (see
-:func:`expectation`).  A value never reads the ``m_a`` of a wider width
-than its own, so it does not depend on earlier calls.  Propagators take
-the same frame further, to the complex principal frame of ``K psi`` (see
+the frame coefficients of each ``x^i y^j``, and ``width = max(3, d +
+1)``; so the norm, the 4 first and 10 second moments and ``<L>`` share
+the width-3 ``m_a`` and ``<L^2>`` takes the width-5 ones.  Each ``M[a,
+b]`` meets ``abs_tol`` on its own, so an expectation's error is bounded
+by ``sum_ab |C''[a, b]| err[a, b]`` (see :func:`expectation`).  A value
+never reads the ``m_a`` of a wider width than its own, so it does not
+depend on earlier calls.  Propagators take the same frame further, to the
+complex principal frame of ``K psi`` (see
 :mod:`~gausspack.oracle.propagate`); only overlaps still integrate over
 :func:`integration_box`.
+
+Two caches hold what the values share.  Per spec and width: the ``m_a``
+(:func:`_axis_moments`).  Per packet: one :class:`_PacketFrame` record
+with ``s``, the frame ``(T, c)``, the coefficients of ``d(log psi)/dx``
+and ``d(log psi)/dy``, each derivative polynomial ``psi^-1 Px^c Py^d
+psi`` the packet's observables have asked for, and the frame powers of
+each width.  An observable's ``P`` is then the sum of its terms'
+derivative polynomials, each shifted by the term's ``x^a y^b``.  Each
+cache keeps the last ``_CACHE_SIZE`` keys, so a round over more packets
+than that builds every packet's record again.
 """
 
 from __future__ import annotations
@@ -59,65 +69,8 @@ __all__ = [
     "wigner_fourth_moment",
 ]
 
-Poly = Dict[Tuple[int, int], complex]
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
-def _poly_dx(p: Poly) -> Poly:
-    return {(i - 1, j): i * c for (i, j), c in p.items() if i > 0}
-
-
-def _poly_dy(p: Poly) -> Poly:
-    return {(i, j - 1): j * c for (i, j), c in p.items() if j > 0}
-
-
-def _poly_add(p: Poly, q: Poly, scale: complex = 1.0) -> Poly:
-    out = dict(p)
-    for key, c in q.items():
-        out[key] = out.get(key, 0.0) + scale * c
-    return out
-
-
-def _coefficient_matrix(p: Poly, width: int) -> np.ndarray:
-    """``(width, width)`` matrix ``C`` with ``P(x, y) = sum_ij C[i, j] x^i y^j``."""
-    coeffs = np.zeros((width, width), dtype=complex)
-    for (i, j), c in p.items():
-        coeffs[i, j] = c
-    return coeffs
-
-
-def _log_gradients(params: RealParams) -> tuple[Poly, Poly]:
-    """First-degree polynomials for d(log psi)/dx and d(log psi)/dy."""
-    mu = params.mu
-    a, b, c = params.quad_a, params.quad_b, params.quad_c
-    gx: Poly = {(0, 0): params.lin_f, (1, 0): -2.0 * mu * a, (0, 1): -mu * b}
-    gy: Poly = {(0, 0): params.lin_g, (0, 1): -2.0 * mu * c, (1, 0): -mu * b}
-    return gx, gy
-
-
-def _observable_polynomial(params: RealParams, obs: Observable) -> Poly:
-    """Polynomial P with ``(O psi)(x, y) = P(x, y) * psi(x, y)``."""
-    gx, gy = _log_gradients(params)
-    total: Poly = {}
-    for (a, b, c, d), coeff in obs:
-        p: Poly = {(0, 0): 1.0}
-        for _ in range(d):
-            p = _poly_add(_poly_mul(p, gy), _poly_dy(p))
-            p = {key: -1j * HBAR * val for key, val in p.items()}
-        for _ in range(c):
-            p = _poly_add(_poly_mul(p, gx), _poly_dx(p))
-            p = {key: -1j * HBAR * val for key, val in p.items()}
-        shifted = {(i + a, j + b): val for (i, j), val in p.items()}
-        total = _poly_add(total, shifted, scale=coeff)
-    return total
+#: The spec of every call that names none.
+_DEFAULT_QUAD = QuadratureSpec()
 
 
 def integration_box(
@@ -139,15 +92,18 @@ def integration_box(
     return (x0 - hw, x0 + hw, y0 - hw, y0 + hw)
 
 
-#: Frames, frame powers and axis moments kept.  A packet takes one frame
-#: and one power table per width (3 for its first and second moments, <L>
-#: and the norm, 5 for <L^2>), so this holds about two packets; the axis
-#: moments depend only on the spec and the width, so it holds both widths of
-#: two specs.
+#: Packet records and axis moments kept.  A packet takes one record, which
+#: holds its derivative polynomials and frame powers too, so this holds four
+#: packets; the axis moments depend only on the spec and the width (3 for
+#: the first and second moments, <L> and the norm, 5 for <L^2>), so it
+#: holds both widths of two specs.
 _CACHE_SIZE = 4
 
 #: ``((T00, T01), (T10, T11)), (cx, cy)``: the map ``x = c + T (xi, eta)``.
 Frame = Tuple[Tuple[Tuple[float, float], Tuple[float, float]], Tuple[float, float]]
+
+#: ``D[i][j]`` multiplies ``x^i y^j``; square, of side ``c + d + 1``.
+Derivative = Tuple[Tuple[complex, ...], ...]
 
 
 def _principal_axes(params: RealParams) -> tuple[np.ndarray, np.ndarray]:
@@ -170,13 +126,86 @@ def _principal_axes(params: RealParams) -> tuple[np.ndarray, np.ndarray]:
     return rotation, sigmas
 
 
+class _PacketFrame:
+    """What every expectation of one packet shares; see the module docstring.
+
+    ``frame`` is ``(T, c)``, ``scale`` is ``s``, and ``gradients`` holds
+    ``(const, along_x, along_y)`` of the first-degree polynomials
+    ``d(log psi)/dx`` and ``d(log psi)/dy``.  The derivative polynomials
+    and frame powers are built on first use and kept with the record.
+    """
+
+    __slots__ = ("frame", "scale", "gradients", "_derivatives", "_powers")
+
+    def __init__(self, params: RealParams):
+        rotation, sigmas = _principal_axes(params)
+        x0, y0, _, _ = first_moments(params)
+        (t00, t01), (t10, t11) = (rotation * sigmas).tolist()
+        self.frame: Frame = ((t00, t01), (t10, t11)), (x0, y0)
+        # The density's own constant, log |det T| and the standard
+        # normals' log 2 pi.
+        self.scale = math.exp(
+            math.log(params.mu * math.sqrt(params.delta) / math.pi)
+            + math.log(sigmas[0])
+            + math.log(sigmas[1])
+            + math.log(2.0 * math.pi)
+        )
+        mu = params.mu
+        a, b, c = params.quad_a, params.quad_b, params.quad_c
+        self.gradients = (
+            (params.lin_f, -2.0 * mu * a, -mu * b),
+            (params.lin_g, -mu * b, -2.0 * mu * c),
+        )
+        self._derivatives: Dict[Tuple[int, int], Derivative] = {(0, 0): ((1.0 + 0j,),)}
+        self._powers: Dict[int, np.ndarray] = {}
+
+    def derivative(self, c: int, d: int) -> Derivative:
+        """``psi^-1 Px^c Py^d psi``; see :func:`_derivative_polynomial`."""
+        poly = self._derivatives.get((c, d))
+        if poly is None:
+            poly = self._derivatives[c, d] = _derivative_polynomial(self, c, d)
+        return poly
+
+    def powers(self, width: int) -> np.ndarray:
+        """:func:`_frame_powers` of this frame as a ``(width^2, width^2)`` matrix."""
+        powers = self._powers.get(width)
+        if powers is None:
+            powers = _frame_powers(self.frame, width).reshape(width * width, -1).astype(complex)
+            powers.flags.writeable = False
+            self._powers[width] = powers
+        return powers
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _principal_frame(params: RealParams) -> Frame:
-    """``T = R diag(sigma)`` and the centroid: ``rho`` is a standard normal in it."""
-    rotation, sigmas = _principal_axes(params)
-    x0, y0, _, _ = first_moments(params)
-    (t00, t01), (t10, t11) = (rotation * sigmas).tolist()
-    return ((t00, t01), (t10, t11)), (x0, y0)
+def _packet_frame(params: RealParams) -> _PacketFrame:
+    """The packet's record, built once for as long as it stays cached."""
+    return _PacketFrame(params)
+
+
+def _derivative_polynomial(packet: _PacketFrame, c: int, d: int) -> Derivative:
+    """Coefficients ``D[i][j]`` of ``psi^-1 Px^c Py^d psi = sum_ij D[i][j] x^i y^j``.
+
+    For ``c > 0`` it is ``-i hbar (P g + dP/dx)``, with ``P`` that of
+    ``(c - 1, d)`` and ``g = d(log psi)/dx``; for ``c = 0`` the same along
+    ``y`` from ``(0, d - 1)``.  ``g`` is of first degree, so ``D`` has
+    total degree ``c + d``.
+    """
+    along_x = c > 0
+    prev = packet.derivative(c - 1, d) if along_x else packet.derivative(0, d - 1)
+    step = -1j * HBAR
+    const, gx, gy = (step * g for g in packet.gradients[0 if along_x else 1])
+    n = len(prev)
+    out = [[0j] * (n + 1) for _ in range(n + 1)]
+    for i, row in enumerate(prev):
+        for j, p in enumerate(row):
+            out[i][j] += const * p
+            out[i + 1][j] += gx * p
+            out[i][j + 1] += gy * p
+            if along_x and i:
+                out[i - 1][j] += step * i * p
+            elif not along_x and j:
+                out[i][j - 1] += step * j * p
+    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -204,32 +233,8 @@ def _axis_moments(quad: QuadratureSpec, width: int) -> np.ndarray:
     return moments
 
 
-def _frame_moments(params: RealParams, quad: QuadratureSpec, width: int) -> np.ndarray:
-    """``M[a, b] = int xi^a eta^b rho~ dxi deta = s m_a m_b`` in the principal frame.
-
-    ``rho~(xi, eta) = rho(c + T (xi, eta)) |det T|`` is the density in the
-    principal frame ``(T, c)``: ``s exp(-(xi^2 + eta^2) / 2) / (2 pi)``
-    with ``s = exp(log(mu sqrt(delta) / pi) + log sigma_1 + log sigma_2 +
-    log 2 pi)``, the density's own constant, ``log |det T|`` and the
-    standard normals' ``log 2 pi``; ``s`` is 1 up to rounding.  Only the
-    entries with ``a + b < width`` are moments an observable of that width
-    reads: its frame coefficients ``C''[a, b]`` vanish for ``a + b >=
-    width``.  ``m_a`` are :func:`_axis_moments`.
-    """
-    _, sigmas = _principal_axes(params)
-    scale = math.exp(
-        math.log(params.mu * math.sqrt(params.delta) / math.pi)
-        + math.log(sigmas[0])
-        + math.log(sigmas[1])
-        + math.log(2.0 * math.pi)
-    )
-    axis = _axis_moments(quad, width)
-    return scale * np.outer(axis, axis)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def _frame_powers(frame: Frame, width: int) -> np.ndarray:
-    """Read-only ``F`` with ``x^i y^j = sum_ab F[i, j, a, b] xi^a eta^b`` for ``i + j < width``.
+    """``F`` with ``x^i y^j = sum_ab F[i, j, a, b] xi^a eta^b`` for ``i + j < width``.
 
     ``x = cx + T00 xi + T01 eta`` and ``y = cy + T10 xi + T11 eta``; each
     power is the previous one times that linear form.  Entries with
@@ -250,8 +255,22 @@ def _frame_powers(frame: Frame, width: int) -> np.ndarray:
     for i in range(1, width):
         powers[i] = times(powers[i - 1], cx, t00, t01)
     powers[np.add.outer(np.arange(width), np.arange(width)) >= width] = 0.0
-    powers.flags.writeable = False
     return powers
+
+
+def _observable_polynomial(packet: _PacketFrame, obs: Observable, width: int) -> np.ndarray:
+    """Flat ``C`` with ``(O psi) / psi = sum_ij C[i width + j] x^i y^j``.
+
+    Each term ``k x^a y^b Px^c Py^d`` adds ``k`` times the packet's
+    derivative polynomial for ``(c, d)``, shifted by ``(a, b)``.
+    """
+    flat = [0j] * (width * width)
+    for (a, b, c, d), k in obs:
+        for i, row in enumerate(packet.derivative(c, d), a):
+            start = i * width + b
+            for j, value in enumerate(row, start):
+                flat[j] += k * value
+    return np.array(flat)
 
 
 def expectation(
@@ -260,35 +279,37 @@ def expectation(
     """Quadrature value of ``<psi| O |psi>`` for a normal-ordered observable.
 
     ``(O psi) = P psi`` for a polynomial ``P(x, y) = sum_ij C[i, j] x^i y^j``
-    of total degree ``d``.  In the packet's principal frame ``x = c + T
-    (xi, eta)``, ``P`` becomes ``sum_ab C''[a, b] xi^a eta^b``, with
-    ``C'' = sum_ij C[i, j] F[i, j]`` and ``F`` the frame coefficients of
-    each ``x^i y^j`` (cached per packet), and the value is ``sum_ab
-    C''[a, b] M[a, b]`` with ``M[a, b] = s m_a m_b`` the packet's frame
-    moment matrix of width ``max(3, d + 1)``: ``s`` is the packet's own
-    density constant times ``|det T| 2 pi``, and ``m_a`` one cached 1-D
-    integral per spec and width, shared by every packet and every
-    observable of that width.  Each ``M[a, b]`` meets ``abs_tol`` on its
-    own, so the value's error is bounded by ``sum_ab |C''[a, b]| err[a,
-    b]``, not by ``abs_tol`` itself.
+    of total degree ``d``, the sum of the packet's derivative polynomials
+    ``psi^-1 Px^c Py^d psi`` of the observable's terms, each times its
+    ``x^a y^b``.  In the packet's principal frame ``x = c + T (xi, eta)``,
+    ``P`` becomes ``sum_ab C''[a, b] xi^a eta^b``, with ``C'' = sum_ij
+    C[i, j] F[i, j]`` and ``F`` the frame coefficients of each ``x^i
+    y^j``; the derivative polynomials and ``F`` are cached with the
+    packet's record.  The value is ``s m^T C'' m``, that is ``sum_ab C''[a,
+    b] M[a, b]`` with ``M[a, b] = s m_a m_b`` the packet's frame moment
+    matrix of width ``max(3, d + 1)``: ``s`` is the packet's own density
+    constant times ``|det T| 2 pi``, and ``m_a`` one cached 1-D integral
+    per spec and width, shared by every packet and every observable of
+    that width.  Each ``M[a, b]`` meets ``abs_tol`` on its own, so the
+    value's error is bounded by ``sum_ab |C''[a, b]| err[a, b]``, not by
+    ``abs_tol`` itself.
     """
-    quad = quad or QuadratureSpec()
-    poly = _observable_polynomial(params, obs)
-    width = max(3, 1 + max((i + j for i, j in poly), default=0))
-    coeffs = _coefficient_matrix(poly, width).reshape(-1)
-    powers = _frame_powers(_principal_frame(params), width)
-    composed = coeffs @ powers.reshape(width * width, -1)
-    return complex(composed @ _frame_moments(params, quad, width).reshape(-1))
+    packet = _packet_frame(params)
+    width = max(3, 1 + obs.degree)
+    composed = _observable_polynomial(packet, obs, width) @ packet.powers(width)
+    axis = _axis_moments(_DEFAULT_QUAD if quad is None else quad, width)
+    return complex(packet.scale * composed.reshape(width, width).dot(axis).dot(axis))
 
 
 def norm_integral(params: RealParams, quad: QuadratureSpec | None = None) -> float:
     """Total probability by quadrature; should be 1 for any valid packet.
 
-    It is ``M[0, 0]`` of the width-3 frame moment matrix that the packet's
-    first and second moments share, so it costs no integral of its own.
+    It is ``M[0, 0] = s m_0^2`` of the width-3 frame moments that the
+    packet's first and second moments share, so it costs no integral of
+    its own.
     """
-    quad = quad or QuadratureSpec()
-    return float(_frame_moments(params, quad, 3)[0, 0])
+    m0 = _axis_moments(_DEFAULT_QUAD if quad is None else quad, 3)[0]
+    return float(_packet_frame(params).scale * (m0 * m0))
 
 
 @lru_cache(maxsize=8)

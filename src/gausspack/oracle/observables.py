@@ -97,7 +97,7 @@ class Observable:
     @property
     def degree(self) -> int:
         """Maximum total monomial degree (positions plus momenta)."""
-        return max((sum(key) for key in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [

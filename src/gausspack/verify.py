@@ -386,6 +386,8 @@ def check_moments_vs_quadrature(
         momentum_monomial(1, 0),
         momentum_monomial(0, 1),
     ]
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    symmetrised = [0.5 * (ops[i] * ops[j] + ops[j] * ops[i]) for i, j in pairs]
     worst = 0.0
     worst_norm = 0.0
     for _ in range(n_packets):
@@ -396,12 +398,10 @@ def check_moments_vs_quadrature(
         worst_norm = max(worst_norm, abs(norm_integral(params) - 1.0))
 
         cov = covariances(params)
-        for i in range(4):
-            for j in range(i, 4):
-                sym = 0.5 * (ops[i] * ops[j] + ops[j] * ops[i])
-                raw = expectation(params, sym).real
-                central = raw - numeric_firsts[i] * numeric_firsts[j]
-                worst = max(worst, abs(central - cov[i, j]))
+        for (i, j), sym in zip(pairs, symmetrised):
+            raw = expectation(params, sym).real
+            central = raw - numeric_firsts[i] * numeric_firsts[j]
+            worst = max(worst, abs(central - cov[i, j]))
     summary = (
         f"{n_packets} random packets, worst moment error {worst:.2e}, "
         f"worst norm defect {worst_norm:.2e}"

@@ -25,7 +25,7 @@ def test_minimal_energy_bound_is_attained():
 
 
 def test_closed_form_moments_match_quadrature():
-    run("moments", budget=0.5)
+    run("moments", budget=0.25)
 
 
 def test_covariance_invariants_are_universal_constants():

@@ -75,6 +75,41 @@ class TestQuadraticStats:
         assert mean == pytest.approx(kinetic, rel=1e-12)
         assert var > 0
 
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 0), math.inf), ((2, 2), -math.inf), ((1, 1), math.nan),
+         ((0, 3), math.inf), ((1, 2), math.nan)],
+    )
+    def test_non_finite_matrix_is_refused(self, entry, value):
+        # b[0, 0] = inf returned (inf, nan) with NumPy warnings.
+        b = angular_momentum_matrix()
+        i, j = entry
+        b[i, j] = b[j, i] = value
+        state = gp.gaussian_state(random_params(np.random.default_rng(3)))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            quadratic_stats(b, state)
+
+    @pytest.mark.parametrize("shift, accepted", [(4e-6, True), (1e-5, False)])
+    def test_symmetry_keeps_allclose_tolerances(self, shift, accepted):
+        # |B - B^T| <= 1e-8 + 1e-5 |B^T| entry by entry: at B[0, 3] = 0.5 the
+        # bound is about 5.01e-6.
+        b = angular_momentum_matrix()
+        b[0, 3] += shift
+        assert np.allclose(b, b.T) is accepted
+        state = gp.gaussian_state(random_params(np.random.default_rng(3)))
+        if accepted:
+            mean, var = quadratic_stats(b, state)
+            assert math.isfinite(mean) and math.isfinite(var)
+        else:
+            with pytest.raises(InvalidParameterError, match="symmetric"):
+                quadratic_stats(b, state)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4, 1), (16,), (4, 5)])
+    def test_wrong_shape_is_refused(self, shape):
+        state = gp.gaussian_state(random_params(np.random.default_rng(3)))
+        with pytest.raises(InvalidParameterError, match="4x4"):
+            quadratic_stats(np.zeros(shape), state)
+
     def test_pure_quadratic_matrices(self):
         b_l = angular_momentum_matrix()
         np.testing.assert_allclose(b_l, b_l.T)

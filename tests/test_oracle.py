@@ -21,6 +21,7 @@ from gausspack.oracle.moments import (
 )
 from gausspack.oracle.observables import (
     angular_momentum_op,
+    magnetic_hamiltonian_op,
     momentum_monomial,
     oscillator_hamiltonian_op,
     position_monomial,
@@ -42,6 +43,7 @@ from gausspack.oracle.quadrature import (
     integrate_adaptive,
 )
 from gausspack.verify import CHECKS
+from reference import observable_polynomial
 
 
 GENERIC = RealParams(mu=1.1, alpha=1.3, beta=0.4, gamma=0.9, chi_a=-0.5,
@@ -448,7 +450,7 @@ def dense_grid_expectation(params, obs):
     """``expectation`` as an independent reference: the polynomial summed
     monomial by monomial on dense copies of the node grids, one adaptive
     integral per observable."""
-    poly = moments_module._observable_polynomial(params, obs)
+    poly = observable_polynomial(params, obs)
 
     def integrand(x, y):
         x, y = np.array(x), np.array(y)
@@ -475,7 +477,7 @@ def frame_coefficients(params, obs, frame):
         }
 
     out = {}
-    for (i, j), c in moments_module._observable_polynomial(params, obs).items():
+    for (i, j), c in observable_polynomial(params, obs).items():
         for (a1, b1), u in linear_power(cx, t00, t01, i).items():
             for (a2, b2), v in linear_power(cy, t10, t11, j).items():
                 key = (a1 + a2, b1 + b2)
@@ -491,7 +493,7 @@ def frame_error_bound(params, obs, quad=None):
     Each frame moment's summed error estimate is within ``10 abs_tol``, so
     this bounds ``expectation``'s error; the 1 covers the reference's own.
     """
-    coeffs = frame_coefficients(params, obs, moments_module._principal_frame(params))
+    coeffs = frame_coefficients(params, obs, moments_module._packet_frame(params).frame)
     abs_tol = (quad or QuadratureSpec()).abs_tol
     return 10.0 * abs_tol * (1.0 + sum(abs(c) for c in coeffs.values()))
 
@@ -539,9 +541,12 @@ def integrals_in_order(params, indices):
     return out
 
 
+#: Every cache of the moments module.
+MOMENT_CACHES = (moments_module._axis_moments, moments_module._packet_frame)
+
+
 def clear_moment_caches():
-    for cache in (moments_module._axis_moments, moments_module._frame_powers,
-                  moments_module._principal_frame):
+    for cache in MOMENT_CACHES:
         cache.cache_clear()
 
 
@@ -661,8 +666,8 @@ class TestFrameMoments:
         # Each m_a's share: abs_tol / (2 (width - 2)!!), raised above 10 times.
         share = quad.abs_tol / (2.0 * math.prod(range(width - 2, 0, -2)))
         assert np.all(np.abs(axis - want) <= 10.0 * share)
-        # Every moment an observable of this width reads meets abs_tol.
-        matrix = moments_module._frame_moments(GENERIC, quad, width)
+        # Every moment M = s m m^T an observable of this width reads meets abs_tol.
+        matrix = moments_module._packet_frame(GENERIC).scale * np.outer(axis, axis)
         read = np.add.outer(np.arange(width), np.arange(width)) < width
         assert np.all(np.abs(matrix - np.outer(want, want))[read] <= quad.abs_tol)
 
@@ -689,17 +694,20 @@ class TestFrameMoments:
             bound = frame_error_bound(params, obs, quad) + frame_error_bound(params, obs)
             assert abs(got - expectation(params, obs)) <= bound
 
-    def test_moment_matrix_and_powers_are_read_only(self, cold_cache):
-        moments = moments_module._frame_moments(GENERIC, QuadratureSpec(), 3)
-        assert moments.shape == (3, 3)
-        assert moments[0, 0] == pytest.approx(1.0, abs=1e-12)
+    def test_cached_tables_are_read_only(self, cold_cache):
+        packet = moments_module._packet_frame(GENERIC)
+        assert packet.scale == pytest.approx(1.0, abs=1e-12)
         # The cached arrays are shared by every caller.
         axis = moments_module._axis_moments(QuadratureSpec(), 3)
         assert axis.shape == (3,)
-        powers = moments_module._frame_powers(moments_module._principal_frame(GENERIC), 3)
+        powers = packet.powers(3)
+        assert powers.shape == (9, 9)
         for array in (axis, powers):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+        # Derivative polynomials are tuples of tuples.
+        derivative = packet.derivative(1, 1)
+        assert isinstance(derivative, tuple) and all(isinstance(row, tuple) for row in derivative)
 
     @pytest.mark.parametrize("width", [3, 5])
     def test_frame_powers_match_multinomial_expansion(self, width):
@@ -739,6 +747,104 @@ class TestFrameMoments:
         # s = M[0, 0] / m_0^2 is 1.
         m0 = moments_module._axis_moments(QuadratureSpec(), 3)[0]
         assert norm / m0**2 == pytest.approx(1.0, abs=1e-14)
+
+
+#: Observables whose polynomials reach ``(c, d)`` up to ``(3, 1)`` and degree 4.
+POLYNOMIAL_OBSERVABLES = {
+    **REFERENCE_OBSERVABLES,
+    "H2": magnetic_hamiltonian_op(1.0, 0.7, -1.1).squared(),
+    "Px3Py": momentum_monomial(3, 1) + 0.5 * position_monomial(1, 2),
+}
+
+
+class TestPacketTables:
+    """Each packet's frame, scale and derivative polynomials are built once
+    per stay in the bounded per-packet cache, not on every call."""
+
+    #: The ``oracle-moments`` operation: 4 first moments, 10 second moments, the norm.
+    MOMENTS_AND_NORM = tuple(range(len(MOMENT_OBSERVABLES) + 1))
+
+    @pytest.fixture
+    def builds(self, monkeypatch, cold_cache):
+        """Calls of ``_principal_axes`` and ``(c, d)`` of every derivative polynomial built."""
+        calls = {"axes": 0, "derivatives": []}
+        axes, derivative = moments_module._principal_axes, moments_module._derivative_polynomial
+
+        def counting_axes(params):
+            calls["axes"] += 1
+            return axes(params)
+
+        def counting_derivative(packet, c, d):
+            calls["derivatives"].append((c, d))
+            return derivative(packet, c, d)
+
+        monkeypatch.setattr(moments_module, "_principal_axes", counting_axes)
+        monkeypatch.setattr(moments_module, "_derivative_polynomial", counting_derivative)
+        return calls
+
+    @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
+    @pytest.mark.parametrize("name", list(POLYNOMIAL_OBSERVABLES))
+    def test_polynomial_matches_term_by_term_reference(self, params, name):
+        obs = POLYNOMIAL_OBSERVABLES[name]
+        width = max(3, obs.degree + 1)
+        want = np.zeros((width, width), dtype=complex)
+        for (i, j), c in observable_polynomial(params, obs).items():
+            want[i, j] = c
+        packet = moments_module._packet_frame(params)
+        got = moments_module._observable_polynomial(packet, obs, width)
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(got.reshape(width, width), want, rtol=1e-14,
+                                   atol=1e-14 * scale)
+
+    def test_one_packet_builds_its_tables_once(self, builds):
+        integrals_in_order(DISPLACED, self.MOMENTS_AND_NORM)
+        assert builds["axes"] == 1
+        # (0, 0) is the record's own 1; each other (c, d) is built once.
+        assert sorted(builds["derivatives"]) == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+        integrals_in_order(DISPLACED, self.MOMENTS_AND_NORM)
+        assert builds["axes"] == 1 and len(builds["derivatives"]) == 5
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_a_cycle_past_the_cache_bound_rebuilds(self, builds, extra):
+        size = moments_module._CACHE_SIZE
+        packets = [minimal_packet(1.0 + k, u=0.3) for k in range(size + extra)]
+        for _ in range(2):
+            for params in packets:
+                integrals_in_order(params, self.MOMENTS_AND_NORM)
+        assert moments_module._packet_frame.cache_info().currsize <= size
+        # Within the bound the second round builds nothing; one packet past
+        # it, the least recently used record has always just been evicted.
+        rounds = 1 if extra == 0 else 2
+        assert builds["axes"] == rounds * len(packets)
+        assert len(builds["derivatives"]) == 5 * rounds * len(packets)
+
+    def test_clear_moment_caches_clears_every_cache(self, cold_cache):
+        cached = {name for name, value in vars(moments_module).items()
+                  if hasattr(value, "cache_clear")}
+        assert cached == {cache.__name__ for cache in MOMENT_CACHES} | {"_hermite_nodes"}
+        integrals_in_order(GENERIC, TestFrameMoments.ALL)
+        assert all(cache.cache_info().currsize > 0 for cache in MOMENT_CACHES)
+        clear_moment_caches()
+        assert all(cache.cache_info().currsize == 0 for cache in MOMENT_CACHES)
+
+    def test_a_non_default_spec_reaches_its_own_axis_moments(self, monkeypatch, cold_cache):
+        seen = []
+        axis_moments = moments_module._axis_moments
+
+        def recording(quad, width):
+            seen.append((quad, width))
+            return axis_moments(quad, width)
+
+        monkeypatch.setattr(moments_module, "_axis_moments", recording)
+        coarse = QuadratureSpec(order=8, refined_order=12, abs_tol=1e-11)
+        expectation(GENERIC, _X, coarse)
+        norm_integral(GENERIC, coarse)
+        expectation(GENERIC, angular_momentum_op().squared(), quad=coarse)
+        assert seen == [(coarse, 3), (coarse, 3), (coarse, 5)]
+        seen.clear()
+        expectation(GENERIC, _X)
+        norm_integral(GENERIC)
+        assert seen == [(QuadratureSpec(), 3), (QuadratureSpec(), 3)]
 
 
 class TestPrincipalFrame:
