@@ -69,7 +69,7 @@ class LGMode(Record, name="mode"):
 
     @property
     def rms_radius(self) -> float:
-        """Root-mean-square radius, useful for sizing integration boxes."""
+        """Root-mean-square radius ``sqrt((2 n_r + |m| + 1) / mu)``."""
         return math.sqrt((2 * self.n_r + abs(self.m) + 1) / self.mu)
 
     def __call__(self, x, y) -> np.ndarray:

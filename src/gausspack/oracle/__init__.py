@@ -1,10 +1,11 @@
 """Independent numerical cross-checks for the closed-form results.
 
 Nothing in this subpackage reuses the algebraic shortcuts of the main
-modules: expectation values go through adaptive quadrature of the
-wavefunction, fourth moments through Gauss-Hermite sums over the phase-space
-Gaussian, time evolution through explicit propagator integrals, and minima
-through derivative-free search.  The main test suite pits these routes
+modules: expectation values go through 1-D quadrature of the density's
+moments in the packet's principal frame, overlaps through adaptive
+quadrature of the wavefunction in that frame, fourth moments through
+Gauss-Hermite sums over the phase-space Gaussian, time evolution through
+explicit propagator integrals, and minima through derivative-free search.  The main test suite pits these routes
 against the closed forms.
 """
 

@@ -31,10 +31,11 @@ the width-3 ``m_a`` and ``<L^2>`` takes the width-5 ones.  Each ``M[a,
 b]`` meets ``abs_tol`` on its own, so an expectation's error is bounded
 by ``sum_ab |C''[a, b]| err[a, b]`` (see :func:`expectation`).  A value
 never reads the ``m_a`` of a wider width than its own, so it does not
-depend on earlier calls.  Propagators take the same frame further, to the
-complex principal frame of ``K psi`` (see
-:mod:`~gausspack.oracle.propagate`); only overlaps still integrate over
-:func:`integration_box`.
+depend on earlier calls.  Overlaps integrate in the same frame (see
+:mod:`~gausspack.oracle.overlap`), and propagators take it further, to
+the complex principal frame of ``K psi`` (see
+:mod:`~gausspack.oracle.propagate`); both read ``(T, c)`` from the
+packet's record, so this module alone chooses the frame.
 
 Two caches hold what the values share.  Per spec and width: the ``m_a``
 (:func:`_axis_moments`).  Per packet: one :class:`_PacketFrame` record
@@ -65,31 +66,11 @@ from .quadrature import QuadratureSpec, integrate_adaptive
 __all__ = [
     "expectation",
     "norm_integral",
-    "integration_box",
     "wigner_fourth_moment",
 ]
 
 #: The spec of every call that names none.
 _DEFAULT_QUAD = QuadratureSpec()
-
-
-def integration_box(
-    params: RealParams, half_width_sigmas: float = 8.5, pad: float = 0.0
-) -> tuple[float, float, float, float]:
-    """A rectangle centered on the packet that captures its density tails.
-
-    The half-width is a multiple of the largest principal standard
-    deviation of ``|psi|^2``; ``pad`` adds an absolute margin (useful when a
-    second, origin-centered function shares the grid).  Only overlaps
-    integrate over it; moments use the principal frame and propagators the
-    complex principal frame instead.
-    """
-    x0, y0, _, _ = first_moments(params)
-    r = math.hypot(params.alpha - params.gamma, 2.0 * params.beta)
-    l_min = 0.5 * (params.alpha + params.gamma - r)
-    sigma_max = 1.0 / math.sqrt(2.0 * params.mu * l_min)
-    hw = half_width_sigmas * sigma_max + pad
-    return (x0 - hw, x0 + hw, y0 - hw, y0 + hw)
 
 
 #: Packet records and axis moments kept.  A packet takes one record, which

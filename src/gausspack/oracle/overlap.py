@@ -7,53 +7,65 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..packet import RealParams, wavefunction
-from .moments import integration_box
+from .moments import _packet_frame
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = ["overlap_integral", "overlap_integrals"]
 
 Mode = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+#: Quadrature defaults for overlaps.  At ``h = 10.5`` ``|psi|`` has fallen
+#: to ``exp(-h^2 / 4)``, about ``1e-12``, of its peak; at the moments'
+#: ``h = 8.5`` the cut-off tails moved the ``fock`` check's overlaps by up
+#: to ``1.4e-10``.
+_OVERLAP_QUAD = QuadratureSpec(half_width_sigmas=10.5)
+
 
 def overlap_integrals(
     params: RealParams,
     modes: Sequence[Mode],
-    mode_extent: float = 0.0,
     quad: QuadratureSpec | None = None,
 ) -> np.ndarray:
     """Projections ``<mode_k|psi>`` of the packet onto several modes at once.
 
-    All modes are integrated as one stacked integrand, so they share one
-    partition of one box; each component still meets the quadrature
-    budget.  ``mode_extent`` should bound the radius where every mode still
-    has appreciable weight (for origin-centered oscillator modes, a few
-    times ``sqrt((2 n_r + |m| + 1)/mu)`` of the widest one); the box is
-    widened by it so packets displaced far from the origin still overlap
-    the modes' support.
-    """
-    quad = quad or QuadratureSpec()
-    box = integration_box(params, quad.half_width_sigmas, pad=mode_extent)
-    # Make sure the box also covers the modes' own neighbourhood of the origin.
-    x0, x1, y0, y1 = box
-    x0, x1 = min(x0, -mode_extent), max(x1, mode_extent)
-    y0, y1 = min(y0, -mode_extent), max(y1, mode_extent)
+    The integral is taken in the packet's principal frame ``x = c + T
+    (xi, eta)``, the frame its moments use (see
+    :mod:`~gausspack.oracle.moments`): the integrand ``conj(mode(x))
+    psi(x) |det T|`` over ``[-h, h]^2``, ``h = half_width_sigmas``, with
+    ``psi`` evaluated by :func:`~gausspack.packet.wavefunction`.  There
+    ``|psi| |det T| = sqrt(s |det T| / 2 pi) exp(-(xi^2 + eta^2) / 4)``,
+    with ``s`` the frame's density scale, so however long, thin, tilted or
+    displaced the packet, the square holds it; the tails cut off change
+    each value by at most ``sup|mode| sqrt(s |det T| / 2 pi) 8 pi erfc(h /
+    2)``.  A mode narrower than the packet's shorter axis must be resolved
+    by the adaptive splits.
 
-    def integrand(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        psi = wavefunction(params, x[:, :1], y[:1, :])
+    All modes are integrated as one stacked integrand, so they share one
+    partition of the square; each component still meets the quadrature
+    budget.  An empty ``modes`` gives an empty array.
+    """
+    if len(modes) == 0:
+        return np.zeros(0, dtype=complex)
+    ((t00, t01), (t10, t11)), (cx, cy) = _packet_frame(params).frame
+    jacobian = abs(t00 * t11 - t01 * t10)
+    quad = quad or _OVERLAP_QUAD
+    h = quad.half_width_sigmas
+
+    def integrand(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        x = cx + t00 * xi + t01 * eta
+        y = cy + t10 * xi + t11 * eta
+        psi = jacobian * wavefunction(params, x, y)
         return np.stack([np.conj(mode(x, y)) * psi for mode in modes])
 
-    return integrate_adaptive(integrand, (x0, x1, y0, y1), quad)
+    return integrate_adaptive(integrand, (-h, h, -h, h), quad)
 
 
 def overlap_integral(
-    params: RealParams,
-    mode: Mode,
-    mode_extent: float = 0.0,
-    quad: QuadratureSpec | None = None,
+    params: RealParams, mode: Mode, quad: QuadratureSpec | None = None
 ) -> complex:
     """Projection ``<mode|psi>`` by adaptive quadrature.
 
     ``mode`` evaluates the reference wavefunction on coordinate arrays; see
-    :func:`overlap_integrals` for ``mode_extent``.
+    :func:`overlap_integrals` for the frame and the truncation bound.
     """
-    return complex(overlap_integrals(params, [mode], mode_extent, quad)[0])
+    return complex(overlap_integrals(params, [mode], quad)[0])

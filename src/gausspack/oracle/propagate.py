@@ -15,12 +15,12 @@ of two large ``|r|^2`` terms.
 
 ``K psi`` is then a Gaussian in ``p`` with one quadratic form ``Q = -mu
 A_psi + kappa I`` for all targets.  ``Re Q`` is half the density's form,
-so in the density's principal frame ``p = T0 zeta0`` (see
-:func:`~gausspack.oracle.moments._principal_axes`) it is ``-|zeta0|^2 /
-4``, and ``S = T0^T Im(Q) T0`` is real and symmetric.  Rotating by the
-eigenvectors ``R2`` of ``S``, ``T = T0 R2`` leaves the real part at
-``-|zeta|^2 / 4`` and makes the imaginary part ``diag(s_1, s_2)``.  In
-this complex principal frame each target's exponent is
+so in the density's principal frame ``p = T0 zeta0``, the frame ``(T0,
+c)`` of the packet's record in :mod:`~gausspack.oracle.moments`, it is
+``-|zeta0|^2 / 4``, and ``S = T0^T Im(Q) T0`` is real and symmetric.
+Rotating by the eigenvectors ``R2`` of ``S``, ``T = T0 R2`` leaves the
+real part at ``-|zeta|^2 / 4`` and makes the imaginary part ``diag(s_1,
+s_2)``.  In this complex principal frame each target's exponent is
 
     sum_k (-1/4 + i s_k) zeta_k^2 + lam_tk zeta_k + e_t
 
@@ -52,7 +52,7 @@ import numpy as np
 from ..constants import HBAR, MASS
 from ..errors import InvalidParameterError
 from ..packet import RealParams, first_moments
-from .moments import _principal_axes
+from .moments import _packet_frame
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = ["propagate_free", "propagate_oscillator", "propagate_magnetic"]
@@ -82,11 +82,6 @@ def _targets(targets: Sequence[tuple[float, float]]) -> np.ndarray:
     return pts
 
 
-def _centroid(params: RealParams) -> np.ndarray:
-    x0, y0, _, _ = first_moments(params)
-    return np.array([x0, y0])
-
-
 def _separate(
     params: RealParams, pref: complex, kappa: complex, lam: np.ndarray, const: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
@@ -107,17 +102,15 @@ def _separate(
     lab-frame real form is never evaluated.
     """
     mu = params.mu
-    rotation, sigmas = _principal_axes(params)
-    x0, y0, px0, py0 = first_moments(params)
+    ((t00, t01), (t10, t11)), (x0, y0) = _packet_frame(params).frame
+    t0 = np.array([[t00, t01], [t10, t11]])
+    _, _, px0, py0 = first_moments(params)
     chirp = np.array([[params.chi_a, 0.5 * params.rho], [0.5 * params.rho, params.chi_c]])
-    s_matrix = (kappa.imag * np.eye(2) - mu * (rotation.T @ chirp @ rotation)) * np.outer(
-        sigmas, sigmas
-    )
-    (s00, s01), (_, s11) = s_matrix
+    (s00, s01), (_, s11) = t0.T @ (kappa.imag * np.eye(2) - mu * chirp) @ t0
     angle = 0.5 * math.atan2(2.0 * s01, s00 - s11)
     mean, radius = 0.5 * (s00 + s11), 0.5 * math.hypot(s00 - s11, 2.0 * s01)
     cos, sin = math.cos(angle), math.sin(angle)
-    frame = (rotation * sigmas) @ np.array([[cos, -sin], [sin, cos]])
+    frame = t0 @ np.array([[cos, -sin], [sin, cos]])
     quad = np.array([complex(-0.25, mean + radius), complex(-0.25, mean - radius)])
     lin = (lam + 1j * np.array([px0, py0]) / HBAR) @ frame
     phase0 = x0 * (params.f2 - mu * (params.chi_a * x0 + params.rho * y0)) + y0 * (
@@ -125,8 +118,7 @@ def _separate(
     )
     log_size = (
         math.log(abs(pref))
-        + math.log(sigmas[0])
-        + math.log(sigmas[1])
+        + math.log(abs(t00 * t11 - t01 * t10))
         + 0.5 * math.log(mu * math.sqrt(params.delta) / math.pi)
     )
     exponent = complex(log_size, cmath.phase(pref) + phase0) + const
@@ -176,7 +168,7 @@ def propagate_free(
     """
     if t == 0:
         raise InvalidParameterError("propagator integral needs t != 0")
-    d = _targets(targets) - _centroid(params)
+    d = _targets(targets) - _packet_frame(params).frame[1]
     pref = mass / (2.0 * math.pi * 1j * HBAR * t)
     kappa = 1j * mass / (2.0 * HBAR * t)
     lam, const = -2.0 * kappa * d, kappa * np.sum(d * d, axis=1)
@@ -205,7 +197,7 @@ def propagate_oscillator(
             f"oscillator kernel is singular near focal times, sin(omega*t)={s}"
         )
     r = _targets(targets)
-    c = _centroid(params)
+    c = np.array(_packet_frame(params).frame[1])
     d = r - c
     pref = mass * omega / (2.0 * math.pi * 1j * HBAR * s)
     coef = 1j * mass * omega / (2.0 * HBAR * s)
@@ -236,7 +228,7 @@ def propagate_magnetic(
             f"magnetic kernel is singular near focal times, sin(omega_L*t)={s}"
         )
     r = _targets(targets)
-    c = _centroid(params)
+    c = np.array(_packet_frame(params).frame[1])
     d = r - c
     pref = mass * omega_larmor / (2.0 * math.pi * 1j * HBAR * s)
     coef = 1j * mass * omega_larmor / (2.0 * HBAR)

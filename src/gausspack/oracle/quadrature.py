@@ -53,14 +53,13 @@ class QuadratureSpec(Record, name="quadrature"):
     bisections; a sum still above ``10 * abs_tol`` then raises
     :class:`~gausspack.errors.ToleranceError`.  ``half_width_sigmas``
     (``h``) sets how far the oracle's integration boxes extend, in standard
-    deviations of the density: moments integrate over ``[-h, h]`` along
-    each axis of the packet's principal frame, propagators over
-    ``[-h, h]`` along each axis of the integrand's complex principal frame,
-    where ``|psi|`` falls off as ``exp(-h^2 / 4)``, and overlaps over the
-    lab-frame square of half-width ``h`` times the largest principal
-    standard deviation.  The counts must be integers (an
-    integer-valued real such as ``48.0`` is taken) and the tolerance and
-    width finite reals; anything else raises
+    deviations of the density: moments and overlaps integrate over
+    ``[-h, h]`` along each axis of the packet's principal frame, where
+    ``|psi|`` falls off as ``exp(-h^2 / 4)``, and propagators over ``[-h,
+    h]`` along each axis of the integrand's complex principal frame.
+    Overlaps and propagators default to ``h = 10.5``.  The counts must be
+    integers (an integer-valued real such as ``48.0`` is taken) and the
+    tolerance and width finite reals; anything else raises
     :class:`~gausspack.errors.InvalidParameterError` naming the field.
     """
 
@@ -88,18 +87,6 @@ Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
-
-
-def _axis_grid(axis: np.ndarray, along: int) -> np.ndarray:
-    """Read-only ``(n, n)`` view of ``axis`` that varies along ``along`` only.
-
-    Built directly with stride 0 on the other dimension: it is the same view
-    ``np.broadcast_to`` gives, at a fraction of that function's call cost.
-    """
-    strides = (axis.itemsize, 0) if along == 0 else (0, axis.itemsize)
-    grid = np.ndarray((axis.size, axis.size), axis.dtype, axis, strides=strides)
-    grid.flags.writeable = False
-    return grid
 
 
 def gauss_legendre_1d(
@@ -130,13 +117,8 @@ def gauss_legendre_2d(
     ``X`` varying along axis 0 and ``Y`` along axis 1, and returns values of
     shape ``(..., order, order)``.  The last two axes are contracted: a
     scalar integrand gives a complex number, a stacked one an array of
-    shape ``...``.
-
-    ``X`` and ``Y`` are read-only broadcast views of the mapped node axes,
-    not dense copies: ``X[:, :1]`` (shape ``(order, 1)``) and ``Y[:1, :]``
-    (shape ``(1, order)``) are the axes themselves, so an integrand that
-    factors over the axes can work on the open grid, and writing into
-    either view raises ``ValueError``.
+    shape ``...``.  ``X`` and ``Y`` are the ``np.meshgrid`` of the mapped
+    node axes in ``"ij"`` indexing.
     """
     x0, x1, y0, y1 = box
     t, w = _nodes(order)
@@ -144,7 +126,7 @@ def gauss_legendre_2d(
     xc, yc = 0.5 * (x1 + x0), 0.5 * (y1 + y0)
     xs = h * t + xc
     ys = k * t + yc
-    values = f(_axis_grid(xs, 0), _axis_grid(ys, 1))
+    values = f(*np.meshgrid(xs, ys, indexing="ij"))
     jac = 0.25 * (x1 - x0) * (y1 - y0)
     result = jac * (np.asarray(values) @ w @ w)
     return complex(result) if result.ndim == 0 else result.astype(complex, copy=False)
@@ -196,16 +178,15 @@ def integrate_adaptive(
     spacing of the first panel, which both rules miss, integrates to about
     0 with a zero error estimate and raises nothing.  The oracle's own
     callers size the box in a frame fitted to the integrand for this
-    reason.  The moment integrals change variables to the packet's
-    principal frame ``x = c + T (xi, eta)``, where the density is a
-    product of two standard normals, each integrated over ``[-h, h]``
-    (see :mod:`~gausspack.oracle.moments`), and the propagators to the
-    complex principal frame of ``K psi``, where each target's integral is
-    a product of two 1-D integrals over ``[-h, h]`` (see
-    :mod:`~gausspack.oracle.propagate`); so no feature is narrower than the
-    box by more than a fixed factor, however long or thin the packet.
-    Overlaps still use a lab-frame square sized by the packet's longest
-    axis, which a narrow enough packet slips through.
+    reason.  The moment integrals and overlaps change variables to the
+    packet's principal frame ``x = c + T (xi, eta)``, where the density is
+    a product of two standard normals, each integrated over ``[-h, h]``
+    (see :mod:`~gausspack.oracle.moments` and
+    :mod:`~gausspack.oracle.overlap`), and the propagators to the complex
+    principal frame of ``K psi``, where each target's integral is a
+    product of two 1-D integrals over ``[-h, h]`` (see
+    :mod:`~gausspack.oracle.propagate`); so the packet is never narrower
+    than the box by more than a fixed factor, however long or thin it is.
 
     A rule value that is not finite is reported by the ``ToleranceError``
     alone: NumPy's invalid-operation warnings (``inf - inf`` in an error

@@ -547,10 +547,8 @@ def _coefficient_checks(spec: MinPacketSpec, n_overlaps: int) -> dict:
     ranked = sorted(fc.items(), key=lambda kv: -abs(kv[1]))
     picks = ranked[: n_overlaps - 1] + [ranked[min(len(ranked) // 2, 40)]]
     modes = [LGMode(n_r=n, m=m, mu=spec.mu) for (n, m), _ in picks]
-    # One stacked integral over the union of the modes' boxes.
-    numeric = overlap_integrals(
-        packet, modes, mode_extent=max(3.5 * mode.rms_radius for mode in modes)
-    )
+    # One stacked integral in the packet's principal frame.
+    numeric = overlap_integrals(packet, modes)
     overlap_err = float(np.max(np.abs(numeric - np.array([c for _, c in picks]))))
     return {
         "kind": fc.kind,

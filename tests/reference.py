@@ -2,7 +2,7 @@
 
 import math
 
-from gausspack import HBAR, InvalidParameterError
+from gausspack import HBAR, InvalidParameterError, first_moments
 
 
 def hermite_zero_log(k: int) -> tuple[int, float]:
@@ -72,3 +72,15 @@ def observable_polynomial(params, obs) -> Poly:
         shifted = {(i + a, j + b): val for (i, j), val in p.items()}
         total = _poly_add(total, shifted, scale=coeff)
     return total
+
+
+def integration_box(params, half_width_sigmas: float = 8.5) -> tuple[float, float, float, float]:
+    """A lab-frame square centred on the packet, of half-width
+    ``half_width_sigmas`` times the largest principal standard deviation of
+    ``|psi|^2``: a box for dense reference integrals of packets that are
+    not too thin."""
+    x0, y0, _, _ = first_moments(params)
+    r = math.hypot(params.alpha - params.gamma, 2.0 * params.beta)
+    l_min = 0.5 * (params.alpha + params.gamma - r)
+    hw = half_width_sigmas / math.sqrt(2.0 * params.mu * l_min)
+    return (x0 - hw, x0 + hw, y0 - hw, y0 + hw)

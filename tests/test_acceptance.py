@@ -41,7 +41,7 @@ def test_subpoissonian_optimum_landmark_values():
 
 
 def test_mode_coefficients_agree_three_ways():
-    run("fock", budget=5.0)
+    run("fock", budget=2.5)
 
 
 def test_field_aligned_packets_have_sharp_energy():

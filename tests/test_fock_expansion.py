@@ -105,7 +105,7 @@ def overlap_check(spec: MinPacketSpec, keys, tol=1e-9):
     coeffs = fock_coefficients(spec, tail=1e-13)
     for key in keys:
         mode = LGMode(n_r=key[0], m=key[1], mu=spec.mu)
-        numeric = overlap_integral(packet, mode, mode_extent=3.5 * mode.rms_radius)
+        numeric = overlap_integral(packet, mode)
         assert abs(numeric - coeffs[key]) < tol, key
 
 
