@@ -10,28 +10,30 @@ using tensor Gauss-Hermite quadrature; it never invokes the pairing formula
 it is used to validate.
 
 A packet's moments are integrated in its principal frame, ``x = c + T
-(xi, eta)``: ``c`` is the centroid and ``T = R diag(sigma_1, sigma_2)``
-holds the principal axes and standard deviations of the density, read
-from ``alpha``, ``beta``, ``gamma`` and ``mu`` as the density's own
-exponent is.  There the density is a standard normal, whatever the
-packet's widths, tilt or displacement, and it has no cross term, so
-every moment ``M[a, b] = int xi^a eta^b rho~`` factors into 1-D
-integrals: ``M[a, b] = s m_a m_b`` with ``m_a = int xi^a exp(-xi^2 / 2)
-/ sqrt(2 pi) dxi`` over ``[-h, h]``, ``h = half_width_sigmas``, and
-``s`` the density's own constant times ``|det T| 2 pi``, which is 1 up to
-rounding.  The ``m_a`` for ``a < width`` are the components of one
-stacked adaptive 1-D integral that depends only on the
-:class:`QuadratureSpec` and the width, so it is computed once and serves
-every packet; the absolute ``abs_tol`` acts as a relative budget on
-moments of order 1.  An observable's polynomial ``P`` of total degree
-``d`` is composed with the map into ``sum_ab C''[a, b] xi^a eta^b``, from
-the frame coefficients of each ``x^i y^j``, and ``width = max(3, d +
-1)``; so the norm, the 4 first and 10 second moments and ``<L>`` share
-the width-3 ``m_a`` and ``<L^2>`` takes the width-5 ones.  Each ``M[a,
-b]`` meets ``abs_tol`` on its own, so an expectation's error is bounded
-by ``sum_ab |C''[a, b]| err[a, b]`` (see :func:`expectation`).  A value
-never reads the ``m_a`` of a wider width than its own, so it does not
-depend on earlier calls.  Overlaps integrate in the same frame (see
+zeta``, ``zeta = (xi, eta)``: ``T = R diag(sigma_1, sigma_2)`` holds the
+principal axes and standard deviations of the density, read from
+``alpha``, ``beta``, ``gamma`` and ``mu`` as the density's own exponent
+is, and ``c = 2 T T^T (f1, g1)`` is where that exponent is stationary,
+since the density's covariance is ``T T^T``.  There the density is a
+standard normal, whatever the packet's widths, tilt or displacement, so
+every moment ``M[a, b] = int xi^a eta^b rho~`` factors: ``M[a, b] = s
+m_a m_b`` with ``m_a = int xi^a exp(-xi^2 / 2) / sqrt(2 pi) dxi`` over
+``[-h, h]``, ``h = half_width_sigmas``, and ``s`` the density's own
+constant times ``|det T| 2 pi``, which is 1 up to rounding.  The ``m_a``
+for ``a < width`` are the components of one stacked adaptive 1-D
+integral that depends only on the :class:`QuadratureSpec` and the width,
+so it is computed once and serves every packet; the absolute ``abs_tol``
+acts as a relative budget on moments of order 1.  An observable's
+polynomial ``(O psi) / psi = sum_ab C''[a, b] xi^a eta^b`` of total
+degree ``d`` reads the moments of ``width = max(3, d + 1)``; so the norm,
+the 4 first and 10 second moments and ``<L>`` share the width-3 ``m_a``
+and ``<L^2>`` takes the width-5 ones.  ``C''`` is written in ``zeta``
+from the start, as the sum of the observable's term polynomials (see
+:func:`_term_polynomial`).  Each ``M[a, b]`` meets ``abs_tol`` on its
+own, so an expectation's error is bounded by ``sum_ab |C''[a, b]| err[a,
+b]`` (see :func:`expectation`).  A value never reads the ``m_a`` of a
+wider width than its own, so it does not depend on earlier calls.
+Overlaps integrate in the same frame (see
 :mod:`~gausspack.oracle.overlap`), and propagators take it further, to
 the complex principal frame of ``K psi`` (see
 :mod:`~gausspack.oracle.propagate`); both read ``(T, c)`` from the
@@ -39,13 +41,11 @@ packet's record, so this module alone chooses the frame.
 
 Two caches hold what the values share.  Per spec and width: the ``m_a``
 (:func:`_axis_moments`).  Per packet: one :class:`_PacketFrame` record
-with ``s``, the frame ``(T, c)``, the coefficients of ``d(log psi)/dx``
-and ``d(log psi)/dy``, each derivative polynomial ``psi^-1 Px^c Py^d
-psi`` the packet's observables have asked for, and the frame powers of
-each width.  An observable's ``P`` is then the sum of its terms'
-derivative polynomials, each shifted by the term's ``x^a y^b``.  Each
-cache keeps the last ``_CACHE_SIZE`` keys, so a round over more packets
-than that builds every packet's record again.
+with ``s``, the frame ``(T, c)``, the linear forms and derivatives the
+term polynomials are built from, and each term polynomial the packet's
+observables have asked for.  Each cache keeps the last ``_CACHE_SIZE``
+keys, so a round over more packets than that builds every packet's
+record again.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 
 from ..constants import HBAR
 from ..errors import InvalidParameterError
-from ..packet import RealParams, first_moments
+from ..packet import RealParams
 from .observables import Observable
 from .quadrature import QuadratureSpec, integrate_adaptive
 
@@ -74,17 +74,20 @@ _DEFAULT_QUAD = QuadratureSpec()
 
 
 #: Packet records and axis moments kept.  A packet takes one record, which
-#: holds its derivative polynomials and frame powers too, so this holds four
-#: packets; the axis moments depend only on the spec and the width (3 for
-#: the first and second moments, <L> and the norm, 5 for <L^2>), so it
-#: holds both widths of two specs.
+#: holds its term polynomials too, so this holds four packets; the axis
+#: moments depend only on the spec and the width (3 for the first and
+#: second moments, <L> and the norm, 5 for <L^2>), so it holds both widths
+#: of two specs.
 _CACHE_SIZE = 4
 
 #: ``((T00, T01), (T10, T11)), (cx, cy)``: the map ``x = c + T (xi, eta)``.
 Frame = Tuple[Tuple[Tuple[float, float], Tuple[float, float]], Tuple[float, float]]
 
-#: ``D[i][j]`` multiplies ``x^i y^j``; square, of side ``c + d + 1``.
-Derivative = Tuple[Tuple[complex, ...], ...]
+#: ``(const, along_xi, along_eta)``: ``const + along_xi xi + along_eta eta``.
+Form = Tuple[complex, complex, complex]
+
+#: ``P[a][b]`` multiplies ``xi^a eta^b``; square, of side the degree plus 1.
+Poly = Tuple[Tuple[complex, ...], ...]
 
 
 def _principal_axes(params: RealParams) -> tuple[np.ndarray, np.ndarray]:
@@ -110,51 +113,55 @@ def _principal_axes(params: RealParams) -> tuple[np.ndarray, np.ndarray]:
 class _PacketFrame:
     """What every expectation of one packet shares; see the module docstring.
 
-    ``frame`` is ``(T, c)``, ``scale`` is ``s``, and ``gradients`` holds
-    ``(const, along_x, along_y)`` of the first-degree polynomials
-    ``d(log psi)/dx`` and ``d(log psi)/dy``.  The derivative polynomials
-    and frame powers are built on first use and kept with the record.
+    ``frame`` is ``(T, c)`` and ``scale`` is ``s``.  ``forms`` holds the
+    :data:`Form` in ``zeta`` of ``x``, ``y``, ``d(log psi)/dx`` and ``d(log
+    psi)/dy``, and ``derivatives`` the ``(d/dxi, d/deta)`` coefficients of
+    ``d/dx`` and ``d/dy``.  The term polynomials are built on first use and
+    kept with the record.
     """
 
-    __slots__ = ("frame", "scale", "gradients", "_derivatives", "_powers")
+    __slots__ = ("frame", "scale", "forms", "derivatives", "_terms")
 
     def __init__(self, params: RealParams):
         rotation, sigmas = _principal_axes(params)
-        x0, y0, _, _ = first_moments(params)
-        (t00, t01), (t10, t11) = (rotation * sigmas).tolist()
-        self.frame: Frame = ((t00, t01), (t10, t11)), (x0, y0)
+        (r00, r01), (r10, r11) = rotation.tolist()
+        s0, s1 = sigmas.tolist()
+        t00, t01, t10, t11 = r00 * s0, r01 * s1, r10 * s0, r11 * s1
+        # The density's covariance is T T^T, so its exponent is stationary
+        # at 2 T T^T (f1, g1).
+        u0 = params.f1 * t00 + params.g1 * t10
+        u1 = params.f1 * t01 + params.g1 * t11
+        cx, cy = 2.0 * (t00 * u0 + t01 * u1), 2.0 * (t10 * u0 + t11 * u1)
+        self.frame: Frame = ((t00, t01), (t10, t11)), (cx, cy)
         # The density's own constant, log |det T| and the standard
         # normals' log 2 pi.
         self.scale = math.exp(
             math.log(params.mu * math.sqrt(params.delta) / math.pi)
-            + math.log(sigmas[0])
-            + math.log(sigmas[1])
+            + math.log(s0)
+            + math.log(s1)
             + math.log(2.0 * math.pi)
         )
+        # d(log psi)/dx = F - 2 mu a x - mu b y and d(log psi)/dy = G - mu b x
+        # - 2 mu c y, with x and y the forms below.
         mu = params.mu
-        a, b, c = params.quad_a, params.quad_b, params.quad_c
-        self.gradients = (
-            (params.lin_f, -2.0 * mu * a, -mu * b),
-            (params.lin_g, -mu * b, -2.0 * mu * c),
+        xx, xy = -2.0 * mu * params.quad_a, -mu * params.quad_b
+        yy = -2.0 * mu * params.quad_c
+        self.forms: Tuple[Form, Form, Form, Form] = (
+            (cx, t00, t01),
+            (cy, t10, t11),
+            (params.lin_f + xx * cx + xy * cy, xx * t00 + xy * t10, xx * t01 + xy * t11),
+            (params.lin_g + xy * cx + yy * cy, xy * t00 + yy * t10, xy * t01 + yy * t11),
         )
-        self._derivatives: Dict[Tuple[int, int], Derivative] = {(0, 0): ((1.0 + 0j,),)}
-        self._powers: Dict[int, np.ndarray] = {}
+        # The columns of T^-1 = diag(1 / sigma) R^T.
+        self.derivatives = ((r00 / s0, r01 / s1), (r10 / s0, r11 / s1))
+        self._terms: Dict[Tuple[int, ...], Poly] = {(0, 0, 0, 0): ((1.0 + 0j,),)}
 
-    def derivative(self, c: int, d: int) -> Derivative:
-        """``psi^-1 Px^c Py^d psi``; see :func:`_derivative_polynomial`."""
-        poly = self._derivatives.get((c, d))
+    def term(self, key: Tuple[int, ...]) -> Poly:
+        """``psi^-1 x^a y^b Px^c Py^d psi``; see :func:`_term_polynomial`."""
+        poly = self._terms.get(key)
         if poly is None:
-            poly = self._derivatives[c, d] = _derivative_polynomial(self, c, d)
+            poly = self._terms[key] = _term_polynomial(self, key)
         return poly
-
-    def powers(self, width: int) -> np.ndarray:
-        """:func:`_frame_powers` of this frame as a ``(width^2, width^2)`` matrix."""
-        powers = self._powers.get(width)
-        if powers is None:
-            powers = _frame_powers(self.frame, width).reshape(width * width, -1).astype(complex)
-            powers.flags.writeable = False
-            self._powers[width] = powers
-        return powers
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -163,30 +170,43 @@ def _packet_frame(params: RealParams) -> _PacketFrame:
     return _PacketFrame(params)
 
 
-def _derivative_polynomial(packet: _PacketFrame, c: int, d: int) -> Derivative:
-    """Coefficients ``D[i][j]`` of ``psi^-1 Px^c Py^d psi = sum_ij D[i][j] x^i y^j``.
-
-    For ``c > 0`` it is ``-i hbar (P g + dP/dx)``, with ``P`` that of
-    ``(c - 1, d)`` and ``g = d(log psi)/dx``; for ``c = 0`` the same along
-    ``y`` from ``(0, d - 1)``.  ``g`` is of first degree, so ``D`` has
-    total degree ``c + d``.
-    """
-    along_x = c > 0
-    prev = packet.derivative(c - 1, d) if along_x else packet.derivative(0, d - 1)
-    step = -1j * HBAR
-    const, gx, gy = (step * g for g in packet.gradients[0 if along_x else 1])
-    n = len(prev)
+def _times(poly: Poly, form: Form, derivative: Tuple[float, float] = (0.0, 0.0),
+           factor: complex = 1.0) -> Poly:
+    """``factor (form P + derivative . grad P)`` in ``zeta``, of one degree more than ``P``."""
+    const, along_xi, along_eta = (factor * f for f in form)
+    d_xi, d_eta = (factor * d for d in derivative)
+    n = len(poly)
     out = [[0j] * (n + 1) for _ in range(n + 1)]
-    for i, row in enumerate(prev):
+    for i, row in enumerate(poly):
         for j, p in enumerate(row):
             out[i][j] += const * p
-            out[i + 1][j] += gx * p
-            out[i][j + 1] += gy * p
-            if along_x and i:
-                out[i - 1][j] += step * i * p
-            elif not along_x and j:
-                out[i][j - 1] += step * j * p
+            out[i + 1][j] += along_xi * p
+            out[i][j + 1] += along_eta * p
+            if i:
+                out[i - 1][j] += d_xi * i * p
+            if j:
+                out[i][j - 1] += d_eta * j * p
     return tuple(map(tuple, out))
+
+
+def _term_polynomial(packet: _PacketFrame, key: Tuple[int, ...]) -> Poly:
+    """``psi^-1 x^a y^b Px^c Py^d psi`` in ``zeta``, from the term one step smaller.
+
+    ``x`` and ``y`` multiply by their forms; ``Px`` maps ``P`` to ``-i
+    hbar (g_x P + dP/dx)``, with ``g_x = d(log psi)/dx`` a form too and
+    ``d/dx`` taken along the first column of ``T^-1``, and ``Py`` the same
+    along ``y``; each step is one :func:`_times`.  Positions act last, so
+    ``a`` comes off first, then ``b``, ``c`` and ``d``.
+    """
+    a, b, c, d = key
+    x, y, gx, gy = packet.forms
+    if a:
+        return _times(packet.term((a - 1, b, c, d)), x)
+    if b:
+        return _times(packet.term((0, b - 1, c, d)), y)
+    if c:
+        return _times(packet.term((0, 0, c - 1, d)), gx, packet.derivatives[0], -1j * HBAR)
+    return _times(packet.term((0, 0, 0, d - 1)), gy, packet.derivatives[1], -1j * HBAR)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -214,44 +234,18 @@ def _axis_moments(quad: QuadratureSpec, width: int) -> np.ndarray:
     return moments
 
 
-def _frame_powers(frame: Frame, width: int) -> np.ndarray:
-    """``F`` with ``x^i y^j = sum_ab F[i, j, a, b] xi^a eta^b`` for ``i + j < width``.
-
-    ``x = cx + T00 xi + T01 eta`` and ``y = cy + T10 xi + T11 eta``; each
-    power is the previous one times that linear form.  Entries with
-    ``i + j >= width`` are 0.
-    """
-    ((t00, t01), (t10, t11)), (cx, cy) = frame
-
-    def times(p: np.ndarray, const: float, along_xi: float, along_eta: float) -> np.ndarray:
-        out = const * p
-        out[..., 1:, :] += along_xi * p[..., :-1, :]
-        out[..., :, 1:] += along_eta * p[..., :, :-1]
-        return out
-
-    powers = np.zeros((width,) * 4)
-    powers[0, 0, 0, 0] = 1.0
-    for j in range(1, width):
-        powers[0, j] = times(powers[0, j - 1], cy, t10, t11)
-    for i in range(1, width):
-        powers[i] = times(powers[i - 1], cx, t00, t01)
-    powers[np.add.outer(np.arange(width), np.arange(width)) >= width] = 0.0
-    return powers
-
-
 def _observable_polynomial(packet: _PacketFrame, obs: Observable, width: int) -> np.ndarray:
-    """Flat ``C`` with ``(O psi) / psi = sum_ij C[i width + j] x^i y^j``.
+    """``C''`` with ``(O psi) / psi = sum_ab C''[a, b] xi^a eta^b``, ``(width, width)``.
 
-    Each term ``k x^a y^b Px^c Py^d`` adds ``k`` times the packet's
-    derivative polynomial for ``(c, d)``, shifted by ``(a, b)``.
+    Each term ``k x^a y^b Px^c Py^d`` adds ``k`` times the packet's term
+    polynomial.
     """
     flat = [0j] * (width * width)
-    for (a, b, c, d), k in obs:
-        for i, row in enumerate(packet.derivative(c, d), a):
-            start = i * width + b
-            for j, value in enumerate(row, start):
+    for key, k in obs:
+        for i, row in enumerate(packet.term(key)):
+            for j, value in enumerate(row, i * width):
                 flat[j] += k * value
-    return np.array(flat)
+    return np.array(flat).reshape(width, width)
 
 
 def expectation(
@@ -259,27 +253,24 @@ def expectation(
 ) -> complex:
     """Quadrature value of ``<psi| O |psi>`` for a normal-ordered observable.
 
-    ``(O psi) = P psi`` for a polynomial ``P(x, y) = sum_ij C[i, j] x^i y^j``
-    of total degree ``d``, the sum of the packet's derivative polynomials
-    ``psi^-1 Px^c Py^d psi`` of the observable's terms, each times its
-    ``x^a y^b``.  In the packet's principal frame ``x = c + T (xi, eta)``,
-    ``P`` becomes ``sum_ab C''[a, b] xi^a eta^b``, with ``C'' = sum_ij
-    C[i, j] F[i, j]`` and ``F`` the frame coefficients of each ``x^i
-    y^j``; the derivative polynomials and ``F`` are cached with the
-    packet's record.  The value is ``s m^T C'' m``, that is ``sum_ab C''[a,
-    b] M[a, b]`` with ``M[a, b] = s m_a m_b`` the packet's frame moment
-    matrix of width ``max(3, d + 1)``: ``s`` is the packet's own density
-    constant times ``|det T| 2 pi``, and ``m_a`` one cached 1-D integral
-    per spec and width, shared by every packet and every observable of
-    that width.  Each ``M[a, b]`` meets ``abs_tol`` on its own, so the
-    value's error is bounded by ``sum_ab |C''[a, b]| err[a, b]``, not by
-    ``abs_tol`` itself.
+    ``(O psi) = P psi`` for a polynomial ``P`` of total degree ``d``.  In
+    the packet's principal frame ``x = c + T (xi, eta)`` it is ``sum_ab
+    C''[a, b] xi^a eta^b``, the sum of the observable's term polynomials,
+    each built in the frame and cached with the packet's record.  The
+    value is ``s m^T C'' m``, that is ``sum_ab C''[a, b] M[a, b]`` with
+    ``M[a, b] = s m_a m_b`` the packet's frame moment matrix of width
+    ``max(3, d + 1)``: ``s`` is the packet's own density constant times
+    ``|det T| 2 pi``, and ``m_a`` one cached 1-D integral per spec and
+    width, shared by every packet and every observable of that width.
+    Each ``M[a, b]`` meets ``abs_tol`` on its own, so the value's error is
+    bounded by ``sum_ab |C''[a, b]| err[a, b]``, not by ``abs_tol``
+    itself.
     """
     packet = _packet_frame(params)
     width = max(3, 1 + obs.degree)
-    composed = _observable_polynomial(packet, obs, width) @ packet.powers(width)
+    composed = _observable_polynomial(packet, obs, width)
     axis = _axis_moments(_DEFAULT_QUAD if quad is None else quad, width)
-    return complex(packet.scale * composed.reshape(width, width).dot(axis).dot(axis))
+    return complex(packet.scale * composed.dot(axis).dot(axis))
 
 
 def norm_integral(params: RealParams, quad: QuadratureSpec | None = None) -> float:

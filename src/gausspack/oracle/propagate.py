@@ -51,7 +51,7 @@ import numpy as np
 
 from ..constants import HBAR, MASS
 from ..errors import InvalidParameterError
-from ..packet import RealParams, first_moments
+from ..packet import RealParams
 from .moments import _packet_frame
 from .quadrature import QuadratureSpec, integrate_adaptive
 
@@ -102,9 +102,11 @@ def _separate(
     lab-frame real form is never evaluated.
     """
     mu = params.mu
-    ((t00, t01), (t10, t11)), (x0, y0) = _packet_frame(params).frame
+    packet = _packet_frame(params)
+    ((t00, t01), (t10, t11)), (x0, y0) = packet.frame
     t0 = np.array([[t00, t01], [t10, t11]])
-    _, _, px0, py0 = first_moments(params)
+    # i <p> / hbar, the imaginary part of d(log psi) at the centroid.
+    momentum = 1j * np.array([form[0].imag for form in packet.forms[2:]])
     chirp = np.array([[params.chi_a, 0.5 * params.rho], [0.5 * params.rho, params.chi_c]])
     (s00, s01), (_, s11) = t0.T @ (kappa.imag * np.eye(2) - mu * chirp) @ t0
     angle = 0.5 * math.atan2(2.0 * s01, s00 - s11)
@@ -112,7 +114,7 @@ def _separate(
     cos, sin = math.cos(angle), math.sin(angle)
     frame = t0 @ np.array([[cos, -sin], [sin, cos]])
     quad = np.array([complex(-0.25, mean + radius), complex(-0.25, mean - radius)])
-    lin = (lam + 1j * np.array([px0, py0]) / HBAR) @ frame
+    lin = (lam + momentum) @ frame
     phase0 = x0 * (params.f2 - mu * (params.chi_a * x0 + params.rho * y0)) + y0 * (
         params.g2 - mu * params.chi_c * y0
     )

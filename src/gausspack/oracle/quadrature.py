@@ -51,7 +51,8 @@ class QuadratureSpec(Record, name="quadrature"):
     ``order`` and ``refined_order`` rules.  The worst panel is split until
     the sum meets ``abs_tol`` or every panel has had ``max_splits``
     bisections; a sum still above ``10 * abs_tol`` then raises
-    :class:`~gausspack.errors.ToleranceError`.  ``half_width_sigmas``
+    :class:`~gausspack.errors.ToleranceError`, as soon as the panels at
+    ``max_splits`` alone exceed it.  ``half_width_sigmas``
     (``h``) sets how far the oracle's integration boxes extend, in standard
     deviations of the density: moments and overlaps integrate over
     ``[-h, h]`` along each axis of the packet's principal frame, where
@@ -200,7 +201,9 @@ def integrate_adaptive(
         positive area.
     ToleranceError
         If a rule value is not finite, or if some component's summed error
-        estimate still exceeds ``10 * abs_tol`` when no panel can be split.
+        estimate still exceeds ``10 * abs_tol`` when no panel can be split;
+        raised once the panels already at ``max_splits``, which no split
+        can lower, exceed it alone.
     """
     spec = spec or QuadratureSpec()
     if len(box) == 2:
@@ -217,8 +220,10 @@ def integrate_adaptive(
     seq = count()
     splittable: list[_Panel] = []  # heap, worst panel first
     finished: list[_Panel] = []  # panels at max_splits
+    finished_err: np.ndarray | float = 0.0  # their summed estimate
 
     def add(bounds: Bounds, depth: int) -> np.ndarray:
+        nonlocal finished_err
         coarse = rule(f, bounds, spec.order)
         fine = rule(f, bounds, spec.refined_order)
         err = np.abs(fine - coarse)
@@ -230,12 +235,21 @@ def integrate_adaptive(
         panel = _Panel(-worst, next(seq), bounds, depth, fine, err)
         if depth >= spec.max_splits:
             finished.append(panel)
+            finished_err = finished_err + err
         else:
             heapq.heappush(splittable, panel)
         return err
 
     def leaf_errors() -> np.ndarray:
         return np.sum([panel.err for panel in finished + splittable], axis=0)
+
+    def check_budget() -> None:
+        worst = float(np.max(leaf_errors(), initial=0.0))
+        if worst > 10.0 * spec.abs_tol:
+            raise ToleranceError(
+                f"quadrature error estimate {worst:.3e} exceeds budget "
+                f"{spec.abs_tol:.3e} after {spec.max_splits} splits"
+            )
 
     with np.errstate(invalid="ignore"):
         err_sum = add(tuple(box), 0)
@@ -244,16 +258,14 @@ def integrate_adaptive(
             err_sum = err_sum - worst_panel.err
             for part in _bisect(worst_panel.bounds):
                 err_sum = err_sum + add(part, worst_panel.depth + 1)
+            if finished and np.any(finished_err > 10.0 * spec.abs_tol):
+                # Refusal is certain: the finished panels alone exceed it.
+                check_budget()
             if not np.any(err_sum > spec.abs_tol):
                 # The running sum is built by subtraction; confirm it from the
                 # leaves before stopping.
                 err_sum = leaf_errors()
 
-    worst = float(np.max(leaf_errors(), initial=0.0))
-    if worst > 10.0 * spec.abs_tol:
-        raise ToleranceError(
-            f"quadrature error estimate {worst:.3e} exceeds budget "
-            f"{spec.abs_tol:.3e} after {spec.max_splits} splits"
-        )
+    check_budget()
     total = np.sum([panel.fine for panel in finished + splittable], axis=0)
     return complex(total) if total.ndim == 0 else total

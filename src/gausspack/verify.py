@@ -55,7 +55,6 @@ from .packet import (
     covariances,
     ellipse,
     first_moments,
-    gaussian_state,
     wavefunction,
 )
 from .special import hermite_scaled, laguerre_assoc_all
@@ -442,6 +441,16 @@ def _drift(values: Iterable[float]) -> float:
     return max(abs(v - ref) for v in values) / scale
 
 
+def _trajectory_drift(packets: list[RealParams]) -> float:
+    """The largest relative drift of d0, d2 and the total angular momentum."""
+    invs = [universal_invariants(covariances(p)) for p in packets]
+    return max(
+        _drift(i.d0 for i in invs),
+        _drift(i.d2 for i in invs),
+        _drift(angular_split(p).total for p in packets),
+    )
+
+
 @_check("drift")
 def check_invariant_drift(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> _Outcome:
     """d0, d2 and the total angular momentum are conserved on trajectories."""
@@ -449,15 +458,8 @@ def check_invariant_drift(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> _Outc
 
     spec = MinPacketSpec(l_i_abs=0.8, l_c_abs=1.3, sign_i=1, sign_c=-1, u=0.4, v=1.1, omega=1.3)
     times = np.linspace(0.0, 4.0 * math.pi / spec.omega, 21)
-    rows = [gaussian_state(build_min_packet(evolve_oscillator(spec, t))) for t in times]
-    invs = [universal_invariants(s.cov) for s in rows]
-    splits = [
-        angular_split(build_min_packet(evolve_oscillator(spec, t))) for t in times
-    ]
-    drifts["oscillator"] = max(
-        _drift(i.d0 for i in invs),
-        _drift(i.d2 for i in invs),
-        _drift(s.total for s in splits),
+    drifts["oscillator"] = _trajectory_drift(
+        [build_min_packet(evolve_oscillator(spec, t)) for t in times]
     )
 
     context = EvolutionContext(kind="magnetic", omega=0.7, omega_larmor=0.9)
@@ -471,12 +473,8 @@ def check_invariant_drift(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> _Outc
         omega=context.omega_effective,
     )
     times = np.linspace(0.0, 6.0, 19)
-    packets = [build_min_packet(evolve_magnetic(mag_spec, context, t)) for t in times]
-    invs = [universal_invariants(covariances(p)) for p in packets]
-    drifts["magnetic"] = max(
-        _drift(i.d0 for i in invs),
-        _drift(i.d2 for i in invs),
-        _drift(angular_split(p).total for p in packets),
+    drifts["magnetic"] = _trajectory_drift(
+        [build_min_packet(evolve_magnetic(mag_spec, context, t)) for t in times]
     )
 
     free_params = RealParams(
@@ -493,13 +491,7 @@ def check_invariant_drift(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> _Outc
         g2=0.9,
     )
     times = np.linspace(0.0, 3.0, 16)
-    packets = [evolve_free(free_params, t).params for t in times]
-    invs = [universal_invariants(covariances(p)) for p in packets]
-    drifts["free"] = max(
-        _drift(i.d0 for i in invs),
-        _drift(i.d2 for i in invs),
-        _drift(angular_split(p).total for p in packets),
-    )
+    drifts["free"] = _trajectory_drift([evolve_free(free_params, t).params for t in times])
 
     worst = max(drifts.values())
     summary = f"worst relative drift {worst:.2e} across three Hamiltonians"

@@ -1,7 +1,9 @@
-"""The closed-form layer never depends on the oracle, and nothing on SciPy.
+"""The two layers depend in one direction only, and nothing on SciPy.
 
 The closed forms are checked against the numerical oracle, so they must not
-borrow from it.  SciPy is a test dependency only: no module of the package,
+borrow from it, and the oracle takes from the closed-form layer only the
+packet's parameters and its definition, never a closed form derived from
+them.  SciPy is a test dependency only: no module of the package,
 the oracle included, imports it, and neither importing the package nor a
 checked ``gausspack minimize`` loads it.
 """
@@ -29,21 +31,38 @@ CLOSED_FORM_MODULES = (
 )
 
 
-def imported_modules(path: Path) -> list[str]:
-    """Every module an ``import`` anywhere in ``path`` names, made absolute."""
-    names = []
+def imports(path: Path) -> list[tuple[str | None, list[str]]]:
+    """Each ``import`` anywhere in ``path``: the module a ``from`` import
+    reads from (``None`` for a plain import) and the names it binds, made
+    absolute.
+
+    A relative import is resolved against the package that holds ``path``,
+    and a file outside the package's directory is taken to sit directly in
+    it.
+    """
+    try:
+        package = ("gausspack",) + path.parent.relative_to(PACKAGE_DIR).parts
+    except ValueError:
+        package = ("gausspack",)
+    out = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            names.extend(alias.name for alias in node.names)
+            out.append((None, [alias.name for alias in node.names]))
         elif isinstance(node, ast.ImportFrom):
             if node.level == 0:
                 base = node.module
             else:
-                # Modules here sit directly in the package, so level 1 is gausspack.
-                base = ".".join(filter(None, ["gausspack", node.module]))
-            names.append(base)
-            names.extend(f"{base}.{alias.name}" for alias in node.names)
-    return names
+                parent = package[: len(package) - node.level + 1]
+                base = ".".join(filter(None, [*parent, node.module]))
+            out.append((base, [f"{base}.{alias.name}" for alias in node.names]))
+    return out
+
+
+def imported_modules(path: Path) -> list[str]:
+    """Every module an ``import`` anywhere in ``path`` names, made absolute."""
+    return [
+        name for base, names in imports(path) for name in ([base] if base else []) + names
+    ]
 
 
 def is_under(name: str, *roots: str) -> bool:
@@ -84,6 +103,62 @@ def test_import_scan_sees_relative_and_lazy_imports(tmp_path):
         "gausspack.oracle.minimize",
         "gausspack.oracle.minimize.minimize_free",
         "scipy.optimize",
+    ]
+
+
+#: What the oracle may take from the package outside itself: the packet's
+#: parameters and its definition, never a closed form derived from them.
+ORACLE_MAY_IMPORT = (
+    "gausspack.packet.RealParams",
+    "gausspack.packet.wavefunction",
+    "gausspack.constants",
+    "gausspack.errors",
+    "gausspack._record",
+)
+
+
+def oracle_borrowings(path: Path) -> list[str]:
+    """Names ``path`` binds from the package outside the oracle and
+    :data:`ORACLE_MAY_IMPORT`."""
+    return [
+        name for _, names in imports(path) for name in names
+        if is_under(name, "gausspack") and not is_under(name, "gausspack.oracle", *ORACLE_MAY_IMPORT)
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((PACKAGE_DIR / "oracle").rglob("*.py")),
+    ids=lambda path: path.relative_to(PACKAGE_DIR).as_posix(),
+)
+def test_oracle_takes_only_the_packet_definition(path):
+    assert oracle_borrowings(path) == [], f"{path.name} imports {oracle_borrowings(path)}"
+
+
+def test_borrowing_scan_resolves_the_oracle_package():
+    probe = PACKAGE_DIR / "oracle" / "moments.py"
+    names = imported_modules(probe)
+    assert "gausspack.oracle.quadrature.integrate_adaptive" in names
+    assert "gausspack.packet.RealParams" in names
+
+
+def test_borrowing_scan_sees_closed_forms(tmp_path, monkeypatch):
+    probe = tmp_path / "oracle" / "probe.py"
+    probe.parent.mkdir()
+    probe.write_text(
+        "from ..packet import RealParams, first_moments\n"
+        "from .. import packet\n"
+        "from ..minimal import build_min_packet\n"
+        "from .quadrature import integrate_adaptive\n"
+        "def f():\n"
+        "    import gausspack.fock\n"
+    )
+    monkeypatch.setitem(globals(), "PACKAGE_DIR", tmp_path)
+    assert oracle_borrowings(probe) == [
+        "gausspack.packet.first_moments",
+        "gausspack.packet",
+        "gausspack.minimal.build_min_packet",
+        "gausspack.fock",
     ]
 
 

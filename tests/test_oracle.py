@@ -137,12 +137,16 @@ class TestQuadrature:
         )
         assert abs(val - math.pi * s**2) <= 1e-13
 
-    def test_unmet_budget_raises_after_every_split(self, rule_passes):
+    def test_unmet_budget_raises_once_certain(self, rule_passes):
         spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-15, max_splits=2)
         with pytest.raises(ToleranceError, match="exceeds budget"):
             integrate_adaptive(lambda x, y: np.cos(40.0 * x * y), (-3.0, 3.0, -3.0, 3.0), spec)
-        # Two rules on each of the 1 + 4 + 16 panels down to max_splits.
-        assert len(rule_passes) == 2 * 21
+        # Two rules on each of the 1 + 4 + 4 panels: the first four at
+        # max_splits already sum above 10 abs_tol, so the call refuses there
+        # rather than after all 1 + 4 + 16.
+        assert len(rule_passes) == 2 * 9
+        assert max(x1 - x0 for x0, x1, _, _ in rule_passes) == 6.0
+        assert min(x1 - x0 for x0, x1, _, _ in rule_passes) == 1.5
 
     def test_displaced_chirped_moment_takes_few_rule_passes(
         self, cold_cache, rule_passes, rule_passes_1d
@@ -337,12 +341,33 @@ class TestQuadrature1D:
         assert abs(stacked[0] - alone) <= 1e-14
         assert abs(stacked[1] - math.sqrt(math.pi)) <= QuadratureSpec().abs_tol
 
-    def test_unmet_budget_raises_after_every_split(self, rule_passes_1d):
+    def test_unmet_budget_raises_once_certain(self, rule_passes_1d):
         spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-15, max_splits=3)
         with pytest.raises(ToleranceError, match="exceeds budget"):
             integrate_adaptive(lambda x: np.cos(40.0 * x), (-3.0, 3.0), spec)
-        # Two rules on each of the 1 + 2 + 4 + 8 intervals down to max_splits.
-        assert len(rule_passes_1d) == 2 * 15
+        # Two rules on each of the 1 + 2 + 2 + 2 + 2 intervals: the first two
+        # at max_splits, (1.5, 2.25) and (2.25, 3.0), already sum above 10
+        # abs_tol, so the call refuses there rather than after all
+        # 1 + 2 + 4 + 8.
+        assert len(rule_passes_1d) == 2 * 9
+        assert rule_passes_1d[-4::2] == [(1.5, 2.25), (2.25, 3.0)]
+
+    def test_finished_panels_within_ten_budgets_still_return(self, rule_passes_1d):
+        def f(x):
+            return np.cos(4.0 * x)
+
+        quarters = [(-3.0, -1.5), (-1.5, 0.0), (0.0, 1.5), (1.5, 3.0)]
+        fine = [gauss_legendre_1d(f, q, 3) for q in quarters]
+        finished = sum(abs(v - gauss_legendre_1d(f, q, 2)) for q, v in zip(quarters, fine))
+        # The four quarters at max_splits sum to 5 abs_tol: above the budget,
+        # within the 10 abs_tol the call may still return at.
+        spec = QuadratureSpec(order=2, refined_order=3, abs_tol=finished / 5.0, max_splits=2)
+        value = integrate_adaptive(f, (-3.0, 3.0), spec)
+        # Every interval is split down to max_splits, as before refusals
+        # came early, and the value is the quarters' refined rules.
+        assert len(rule_passes_1d) == 2 * 7
+        assert sorted(rule_passes_1d[-8::2]) == quarters
+        assert value == pytest.approx(sum(fine), rel=1e-15)
 
     def test_one_component_over_budget_raises(self):
         spec = QuadratureSpec(order=2, refined_order=3, abs_tol=1e-12, max_splits=0)
@@ -685,32 +710,14 @@ class TestFrameMoments:
     def test_cached_tables_are_read_only(self, cold_cache):
         packet = moments_module._packet_frame(GENERIC)
         assert packet.scale == pytest.approx(1.0, abs=1e-12)
-        # The cached arrays are shared by every caller.
+        # The cached axis moments are shared by every caller.
         axis = moments_module._axis_moments(QuadratureSpec(), 3)
         assert axis.shape == (3,)
-        powers = packet.powers(3)
-        assert powers.shape == (9, 9)
-        for array in (axis, powers):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-        # Derivative polynomials are tuples of tuples.
-        derivative = packet.derivative(1, 1)
-        assert isinstance(derivative, tuple) and all(isinstance(row, tuple) for row in derivative)
-
-    @pytest.mark.parametrize("width", [3, 5])
-    def test_frame_powers_match_multinomial_expansion(self, width):
-        frame = ((0.7, -1.3), (0.4, 2.1)), (1.5, -0.8)
-        powers = moments_module._frame_powers(frame, width)
-        assert powers.shape == (width,) * 4
-        for i in range(width):
-            for j in range(width):
-                want = np.zeros((width, width), dtype=complex)
-                if i + j < width:
-                    for key, c in frame_coefficients(
-                        DISPLACED, position_monomial(i, j), frame
-                    ).items():
-                        want[key] = c
-                np.testing.assert_allclose(powers[i, j], want, rtol=1e-14, atol=1e-14)
+        with pytest.raises(ValueError):
+            axis[0] = 0.0
+        # Term polynomials are tuples of tuples.
+        term = packet.term((1, 1, 1, 1))
+        assert isinstance(term, tuple) and all(isinstance(row, tuple) for row in term)
 
     @pytest.mark.parametrize(
         "params", [DISPLACED, GENERIC, minimal_packet(1e6, u=0.7)],
@@ -746,51 +753,60 @@ POLYNOMIAL_OBSERVABLES = {
 
 
 class TestPacketTables:
-    """Each packet's frame, scale and derivative polynomials are built once
-    per stay in the bounded per-packet cache, not on every call."""
+    """Each packet's frame, scale and term polynomials are built once per
+    stay in the bounded per-packet cache, not on every call."""
 
     #: The ``oracle-moments`` operation: 4 first moments, 10 second moments, the norm.
     MOMENTS_AND_NORM = tuple(range(len(MOMENT_OBSERVABLES) + 1))
 
+    #: Every ``(a, b, c, d)`` those moments build, the record's own ``(0, 0, 0, 0)`` aside.
+    MOMENT_TERMS = sorted(
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        + [(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 1, 1), (0, 0, 0, 2)]
+        + [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+    )
+
     @pytest.fixture
     def builds(self, monkeypatch, cold_cache):
-        """Calls of ``_principal_axes`` and ``(c, d)`` of every derivative polynomial built."""
-        calls = {"axes": 0, "derivatives": []}
-        axes, derivative = moments_module._principal_axes, moments_module._derivative_polynomial
+        """Calls of ``_principal_axes`` and the key of every term polynomial built."""
+        calls = {"axes": 0, "terms": []}
+        axes, term = moments_module._principal_axes, moments_module._term_polynomial
 
         def counting_axes(params):
             calls["axes"] += 1
             return axes(params)
 
-        def counting_derivative(packet, c, d):
-            calls["derivatives"].append((c, d))
-            return derivative(packet, c, d)
+        def counting_term(packet, key):
+            calls["terms"].append(key)
+            return term(packet, key)
 
         monkeypatch.setattr(moments_module, "_principal_axes", counting_axes)
-        monkeypatch.setattr(moments_module, "_derivative_polynomial", counting_derivative)
+        monkeypatch.setattr(moments_module, "_term_polynomial", counting_term)
         return calls
 
-    @pytest.mark.parametrize("params", [DISPLACED, GENERIC], ids=["displaced", "generic"])
+    @pytest.mark.parametrize(
+        "params", [DISPLACED, GENERIC, minimal_packet(1e6, u=0.7)],
+        ids=["displaced", "generic", "long_tilted"],
+    )
     @pytest.mark.parametrize("name", list(POLYNOMIAL_OBSERVABLES))
     def test_polynomial_matches_term_by_term_reference(self, params, name):
         obs = POLYNOMIAL_OBSERVABLES[name]
         width = max(3, obs.degree + 1)
-        want = np.zeros((width, width), dtype=complex)
-        for (i, j), c in observable_polynomial(params, obs).items():
-            want[i, j] = c
         packet = moments_module._packet_frame(params)
+        want = np.zeros((width, width), dtype=complex)
+        for key, c in frame_coefficients(params, obs, packet.frame).items():
+            want[key] = c
         got = moments_module._observable_polynomial(packet, obs, width)
         scale = np.max(np.abs(want))
-        np.testing.assert_allclose(got.reshape(width, width), want, rtol=1e-14,
-                                   atol=1e-14 * scale)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
 
     def test_one_packet_builds_its_tables_once(self, builds):
         integrals_in_order(DISPLACED, self.MOMENTS_AND_NORM)
         assert builds["axes"] == 1
-        # (0, 0) is the record's own 1; each other (c, d) is built once.
-        assert sorted(builds["derivatives"]) == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+        # Each term is built once, from the one a step smaller.
+        assert sorted(builds["terms"]) == self.MOMENT_TERMS
         integrals_in_order(DISPLACED, self.MOMENTS_AND_NORM)
-        assert builds["axes"] == 1 and len(builds["derivatives"]) == 5
+        assert builds["axes"] == 1 and sorted(builds["terms"]) == self.MOMENT_TERMS
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_a_cycle_past_the_cache_bound_rebuilds(self, builds, extra):
@@ -804,7 +820,7 @@ class TestPacketTables:
         # it, the least recently used record has always just been evicted.
         rounds = 1 if extra == 0 else 2
         assert builds["axes"] == rounds * len(packets)
-        assert len(builds["derivatives"]) == 5 * rounds * len(packets)
+        assert len(builds["terms"]) == len(self.MOMENT_TERMS) * rounds * len(packets)
 
     def test_clear_moment_caches_clears_every_cache(self, cold_cache):
         cached = {name for name, value in vars(moments_module).items()
